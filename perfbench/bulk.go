@@ -69,9 +69,9 @@ func newBulk(seed uint64) (*bulk, error) {
 	return b, nil
 }
 
-func (b *bulk) rate() float64 { return 0 }
-func (b *bulk) mid() float64  { return 0.5 } // land-registry batches are three quarters
-func (b *bulk) tail() float64 { return 0.9 } // web-log batches are the slowest quarter
+func (b *bulk) rate() float64           { return 0 }
+func (b *bulk) mid() float64            { return 0.5 }     // land-registry batches are three quarters
+func (b *bulk) tail() (string, float64) { return "", 0.9 } // web-log batches are the slowest quarter
 
 func (b *bulk) params() map[string]any {
 	return map[string]any{

@@ -67,9 +67,9 @@ func newExplore(seed uint64) (*explore, error) {
 	return e, nil
 }
 
-func (e *explore) rate() float64 { return exploreRate }
-func (e *explore) mid() float64  { return 0.5 }  // hot and novel RGX streams are 85%
-func (e *explore) tail() float64 { return 0.95 } // novel algebra is the slowest 15%
+func (e *explore) rate() float64           { return exploreRate }
+func (e *explore) mid() float64            { return 0.5 }                  // hot and novel RGX streams are 85%
+func (e *explore) tail() (string, float64) { return "novel_algebra", 0.5 } // the slowest 15%
 
 func (e *explore) params() map[string]any {
 	return map[string]any{

@@ -57,9 +57,9 @@ func newLive(seed uint64) *live {
 	return l
 }
 
-func (l *live) rate() float64 { return liveRate }
-func (l *live) mid() float64  { return 0.25 } // the middle of the writes, which are 55%
-func (l *live) tail() float64 { return 0.9 }  // reads are the slowest 45%
+func (l *live) rate() float64           { return liveRate }
+func (l *live) mid() float64            { return 0.25 }        // the middle of the writes, which are 55%
+func (l *live) tail() (string, float64) { return "read", 0.5 } // the slowest 45%
 
 func (l *live) params() map[string]any {
 	return map[string]any{
@@ -140,7 +140,7 @@ func (l *live) op(ctx context.Context, c *servedCluster, i int) opStat {
 		start, end := lineAt(d.text, 0.25+pick/2)
 		s.err = l.patch(ctx, c, d, client.Splice{Offset: start, DeleteLen: end - start, Insert: line})
 	default:
-		s.kind = "docx"
+		s.kind, s.class = "docx", "read"
 		s.bytes = len(d.text)
 		s.mappings, s.err = l.read(ctx, c, d, &s)
 	}

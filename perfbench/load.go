@@ -37,12 +37,15 @@ type traffic interface {
 	finalCheck(ctx context.Context, c *servedCluster) error
 	// rate is the open-loop rate in ops/s; 0 selects a closed loop.
 	rate() float64
-	// mid and tail are the percentiles of the gated latencies. Each
-	// lies inside one op class's mode rather than at the edge between
-	// two classes, where it would jump with the mix: mid at the middle
-	// of the most frequent class, tail inside the slowest.
+	// mid and tail place the gated latencies inside one op class's
+	// mode rather than at the edge between two classes, where they
+	// would jump with the mix. mid is a percentile of all ops, at the
+	// middle of the most frequent class. tail is percentile q of the
+	// ops of class, the slowest (of all ops when class is ""): the
+	// share of slow ops in a run then moves no sample across it, and
+	// the other classes' queueing behind a stall does not decide it.
 	mid() float64
-	tail() float64
+	tail() (class string, q float64)
 	params() map[string]any
 }
 
@@ -134,11 +137,23 @@ type summary struct {
 	byKind            map[string][]float64 // ms
 	ttfmByKind        map[string][]float64
 	byClass           map[string][]float64 // ms, ops with a class only
+	ttfmByClass       map[string][]float64 // ms, extraction ops with a class only
+}
+
+// tails returns the op and first-mapping latencies the tail
+// percentile is taken over: those of the ops of class, or of all ops
+// when class is "".
+func (s summary) tails(class string) (op, ttfm []float64) {
+	if class == "" {
+		return s.opMs, s.ttfmMs
+	}
+	return s.byClass[class], s.ttfmByClass[class]
 }
 
 func summarize(win window) summary {
 	s := summary{attempted: len(win.ops), elapsed: win.end.Sub(win.start).Seconds(),
-		byKind: map[string][]float64{}, ttfmByKind: map[string][]float64{}, byClass: map[string][]float64{}}
+		byKind: map[string][]float64{}, ttfmByKind: map[string][]float64{},
+		byClass: map[string][]float64{}, ttfmByClass: map[string][]float64{}}
 	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
 	var bytes float64
 	for _, o := range win.ops {
@@ -162,6 +177,9 @@ func summarize(win window) summary {
 		if o.kind != "patch" {
 			s.ttfmMs = append(s.ttfmMs, ttfm)
 			s.ttfmByKind[o.kind] = append(s.ttfmByKind[o.kind], ttfm)
+			if o.class != "" {
+				s.ttfmByClass[o.class] = append(s.ttfmByClass[o.class], ttfm)
+			}
 		}
 	}
 	if s.elapsed > 0 {

@@ -16,6 +16,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -283,7 +284,9 @@ func (o rateOverride) rate() float64 { return o.r }
 // between runs, so the gated percentiles are the workload's mid() and
 // tail().
 func endToEnd(s summary, w traffic, setupS []float64) map[string]metric {
-	m, q := w.mid(), w.tail()
+	m := w.mid()
+	class, q := w.tail()
+	opTail, ttfmTail := s.tails(class)
 	return map[string]metric{
 		"setup_s":        {median(setupS), "s"},
 		"ok_frac":        {ratio(float64(s.attempted-s.failed), float64(s.attempted)), "ratio"},
@@ -291,9 +294,9 @@ func endToEnd(s summary, w traffic, setupS []float64) map[string]metric {
 		"mb_per_s":       {s.mbPerS, "MiB/s"},
 		"mappings_per_s": {s.mapPerS, "1/s"},
 		"op_mid_ms":      {percentile(s.opMs, m), "ms"},
-		"op_tail_ms":     {percentile(s.opMs, q), "ms"},
+		"op_tail_ms":     {percentile(opTail, q), "ms"},
 		"ttfm_mid_ms":    {percentile(s.ttfmMs, m), "ms"},
-		"ttfm_tail_ms":   {percentile(s.ttfmMs, q), "ms"},
+		"ttfm_tail_ms":   {percentile(ttfmTail, q), "ms"},
 	}
 }
 
@@ -301,11 +304,13 @@ func endToEnd(s summary, w traffic, setupS []float64) map[string]metric {
 // their sample counts and the tail rule's choice for each, and the
 // generator's lateness.
 func windowRecord(s summary, w traffic) map[string]any {
+	tc, tq := w.tail()
+	opTail, _ := s.tails(tc)
 	kinds := map[string]any{}
 	for kind, xs := range s.byKind {
 		tailQ := tailQuantile(len(xs))
 		k := map[string]any{"n": len(xs), "tail_rule": "p" + pct(tailQ)}
-		for _, q := range []float64{0.5, w.mid(), w.tail(), tailQ} {
+		for _, q := range []float64{0.5, w.mid(), tailQ} {
 			k[fmt.Sprintf("p%s_ms", pct(q))] = percentile(xs, q)
 			if kind == "stream" {
 				k[fmt.Sprintf("ttfm_p%s_ms", pct(q))] = percentile(s.ttfmByKind[kind], q)
@@ -316,12 +321,18 @@ func windowRecord(s summary, w traffic) map[string]any {
 	classes := map[string]any{}
 	for class, xs := range s.byClass {
 		tailQ := tailQuantile(len(xs))
-		classes[class] = map[string]any{"n": len(xs), "p50_ms": percentile(xs, 0.5),
+		c := map[string]any{"n": len(xs), "p50_ms": percentile(xs, 0.5),
 			fmt.Sprintf("p%s_ms", pct(tailQ)): percentile(xs, tailQ), "max_ms": percentile(xs, 1)}
+		if ttfm := s.ttfmByClass[class]; len(ttfm) > 0 {
+			c["ttfm_p50_ms"] = percentile(ttfm, 0.5)
+			c[fmt.Sprintf("ttfm_p%s_ms", pct(tailQ))] = percentile(ttfm, tailQ)
+		}
+		classes[class] = c
 	}
 	out := map[string]any{
 		"ops": s.attempted, "failed": s.failed, "elapsed_s": s.elapsed, "kinds": kinds, "classes": classes,
-		"mid": "p" + pct(w.mid()), "tail": "p" + pct(w.tail()), "tail_samples_beyond": beyond(len(s.opMs), w.tail()),
+		"mid": "p" + pct(w.mid()), "tail": "p" + pct(tq), "tail_class": cmp.Or(tc, "all"),
+		"tail_samples": len(opTail), "tail_samples_beyond": beyond(len(opTail), tq),
 	}
 	if w.rate() > 0 {
 		out["lateness_p50_ms"] = percentile(s.latenessMs, 0.5)
@@ -379,11 +390,14 @@ func perLayer(w traffic, lt layerTimes, ts, us summary, b, a counters, rp replay
 	set("trace.layers_share_of_op", ratio(layers, opTotal), "ratio", "trace")
 	// Tracing overhead: each latency metric's traced-half value minus
 	// its untraced-half value, same schedule, same process.
-	mq, q := w.mid(), w.tail()
+	mq := w.mid()
+	class, q := w.tail()
+	tOp, tTtfm := ts.tails(class)
+	uOp, uTtfm := us.tails(class)
 	set("trace.overhead_op_mid_ms", percentile(ts.opMs, mq)-percentile(us.opMs, mq), "ms", "trace")
-	set("trace.overhead_op_tail_ms", percentile(ts.opMs, q)-percentile(us.opMs, q), "ms", "trace")
+	set("trace.overhead_op_tail_ms", percentile(tOp, q)-percentile(uOp, q), "ms", "trace")
 	set("trace.overhead_ttfm_mid_ms", percentile(ts.ttfmMs, mq)-percentile(us.ttfmMs, mq), "ms", "trace")
-	set("trace.overhead_ttfm_tail_ms", percentile(ts.ttfmMs, q)-percentile(us.ttfmMs, q), "ms", "trace")
+	set("trace.overhead_ttfm_tail_ms", percentile(tTtfm, q)-percentile(uTtfm, q), "ms", "trace")
 
 	lookups := d(stageSeries("cache-lookup", "count"))
 	resolutions := lookups + d(stageSeries("compile", "count")) + d(stageSeries("registry-load", "count"))

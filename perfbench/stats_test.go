@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"math"
 	"testing"
+	"time"
 )
 
 func TestTailQuantileRule(t *testing.T) {
@@ -37,6 +39,31 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 	if got := percentile(nil, 0.5); got != 0 {
 		t.Errorf("percentile(nil) = %v", got)
+	}
+}
+
+// TestSummaryTails checks that a class-scoped tail is taken over that
+// class's ops alone, a failed one among them counting as +Inf, and
+// that patches have no first-mapping time.
+func TestSummaryTails(t *testing.T) {
+	t0 := time.Unix(0, 0)
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	win := window{start: t0, end: at(100), ops: []opStat{
+		{kind: "docx", class: "read", due: t0, first: at(8), done: at(8)},
+		{kind: "docx", class: "read", due: t0, first: at(9), done: at(9), err: errors.New("wrong answer")},
+		{kind: "patch", class: "append", due: t0, first: at(1), done: at(1)},
+		{kind: "patch", class: "splice", due: t0, first: at(2), done: at(2)},
+	}}
+	s := summarize(win)
+	op, ttfm := s.tails("read")
+	if len(op) != 2 || op[0] != 8 || !math.IsInf(op[1], 1) || len(ttfm) != 2 {
+		t.Errorf("tails(read) = %v, %v", op, ttfm)
+	}
+	if op, ttfm := s.tails(""); len(op) != 4 || len(ttfm) != 2 {
+		t.Errorf("tails(\"\") = %v, %v; want every op, and extraction ops for ttfm", op, ttfm)
+	}
+	if op, ttfm := s.tails("append"); len(op) != 1 || len(ttfm) != 0 {
+		t.Errorf("tails(append) = %v, %v", op, ttfm)
 	}
 }
 
