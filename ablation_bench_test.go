@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"spanners/internal/eval"
 	"spanners/internal/workload"
 )
 
@@ -15,7 +14,7 @@ func BenchmarkAblationSequentialVsFPT(b *testing.B) {
 	expr := `.*(Seller: x{[^,\n]*}, ID\d*(, \$y{[^\n]*}|)\n).*`
 	text := workload.LandRegistry(workload.LandRegistryOptions{Rows: 256, TaxProb: 0.5, Seed: 9})
 	d := NewDocument(text)
-	fast := eval.CompileRGX(MustCompile(expr).Expr())
+	fast := engineRGX(b, MustCompile(expr).Expr())
 	if !fast.Sequential() {
 		b.Fatal("expected sequential")
 	}
@@ -24,7 +23,7 @@ func BenchmarkAblationSequentialVsFPT(b *testing.B) {
 			fast.NonEmpty(d)
 		}
 	})
-	slow := eval.CompileRGX(MustCompile(expr).Expr())
+	slow := engineRGX(b, MustCompile(expr).Expr())
 	slow.ForceFPT()
 	b.Run("fpt-fallback", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -37,7 +36,7 @@ func BenchmarkAblationSequentialVsFPT(b *testing.B) {
 // materializing them through enumeration.
 func BenchmarkAblationCountVsEnumerate(b *testing.B) {
 	s := MustCompile(`.*x{a+}.*`)
-	eng := eval.CompileRGX(s.Expr())
+	eng := engineRGX(b, s.Expr())
 	for _, n := range []int{64, 256} {
 		d := NewDocument(workload.RepeatRow("a", n))
 		b.Run(fmt.Sprintf("count/n%d", n), func(b *testing.B) {
@@ -60,7 +59,7 @@ func BenchmarkAblationEnumerators(b *testing.B) {
 	s := MustCompile(`.*(k=x{\d+};\n).*`)
 	row := "k=123;\n"
 	d := NewDocument(workload.RepeatRow(row, 12))
-	eng := eval.CompileRGX(s.Expr())
+	eng := engineRGX(b, s.Expr())
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			eng.Enumerate(d, func(Mapping) bool { return true })

@@ -415,6 +415,18 @@ func TestTypedErrors(t *testing.T) {
 	if !errors.Is(err, client.ErrBadQuery) {
 		t.Fatalf("two query kinds: %v, want ErrBadQuery", err)
 	}
+
+	// 65 variables exceed the compiled-program budget: a typed 422.
+	var wide strings.Builder
+	for i := 0; i < 65; i++ {
+		fmt.Fprintf(&wide, "v%02d{a}", i)
+	}
+	_, err = c.Extract(ctx, client.ExtractRequest{
+		Query: client.Query{Expr: wide.String()}, Docs: []string{strings.Repeat("a", 65)},
+	})
+	if !errors.As(err, &ce) || ce.Status != http.StatusUnprocessableEntity || !errors.Is(err, client.ErrCompileBudget) {
+		t.Fatalf("65-variable spanner: %v, want 422 compile_budget", err)
+	}
 }
 
 // Responses that are not the unified envelope (intermediary proxies,

@@ -24,6 +24,10 @@ const (
 	// CodeDifferenceBudget: a difference's determinization exceeded
 	// the server's configured state budget (well-formed, 422).
 	CodeDifferenceBudget = "difference_budget"
+	// CodeCompileBudget: the spanner is beyond the compiled-program
+	// budget — more variables than the engine's operation masks hold,
+	// or oversized dispatch tables (well-formed, 422).
+	CodeCompileBudget = "compile_budget"
 	// CodeBadQuery: the query did not set exactly one of
 	// expr/rule/spanner/algebra.
 	CodeBadQuery = "bad_query"
@@ -115,6 +119,7 @@ var (
 	ErrSyntax              = codeSentinel(CodeSyntax)
 	ErrUnbound             = codeSentinel(CodeUnbound)
 	ErrDifferenceBudget    = codeSentinel(CodeDifferenceBudget)
+	ErrCompileBudget       = codeSentinel(CodeCompileBudget)
 	ErrBadQuery            = codeSentinel(CodeBadQuery)
 	ErrBadSplice           = codeSentinel(CodeBadSplice)
 	ErrBadName             = codeSentinel(CodeBadName)

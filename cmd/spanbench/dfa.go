@@ -44,16 +44,12 @@ type dfaReport struct {
 // plain bitset-stepping twin (each with its own program, so the
 // shared transition cache cannot leak across sides).
 func dfaPair(expr string, forceFPT bool) (*eval.Engine, *eval.Engine) {
-	n := rgx.MustParse(expr)
-	withDFA := eval.NewEngine(va.FromRGX(n))
-	bitset := eval.NewEngine(va.FromRGX(n))
+	withDFA := mustEngine(va.FromRGX(rgx.MustParse(expr)))
+	bitset := mustEngine(va.FromRGX(rgx.MustParse(expr)))
 	bitset.ForceNoDFA()
 	if forceFPT {
 		withDFA.ForceFPT()
 		bitset.ForceFPT()
-	}
-	if !withDFA.Compiled() || !withDFA.DFAEnabled() {
-		panic(fmt.Sprintf("dfa benchmark: %q did not compile to a DFA-backed program", expr))
 	}
 	return withDFA, bitset
 }
@@ -269,10 +265,9 @@ func runDFABench(quick bool, jsonPath string) dfaReport {
 
 	// Cache self-report, so the committed JSON also records how hard
 	// the DFA worked for these numbers.
-	if st, ok := dEng.DFAStats(); ok {
-		fmt.Printf("\n   letter-heavy cache: states=%d hits=%d misses=%d skipped=%d fallbacks=%d\n",
-			st.States, st.Hits, st.Misses, st.SkippedRunes, st.Fallbacks)
-	}
+	st := dEng.DFAStats()
+	fmt.Printf("\n   letter-heavy cache: states=%d hits=%d misses=%d skipped=%d fallbacks=%d\n",
+		st.States, st.Hits, st.Misses, st.SkippedRunes, st.Fallbacks)
 
 	if jsonPath != "" {
 		buf, err := json.MarshalIndent(rep, "", "  ")

@@ -8,29 +8,16 @@ import (
 	"strings"
 	"time"
 
-	"spanners"
 	"spanners/internal/eval"
-	"spanners/internal/rgx"
 	"spanners/internal/service"
 	"spanners/internal/va"
-	"spanners/internal/workload"
 )
 
-// The -engine mode benchmarks the compiled execution core
-// (internal/program) head-to-head against the interpreted
-// transition-walking engines on the same automata, plus the
-// service-path numbers that BENCH_engine.json tracks across PRs.
-// Results print as a table and, with -enginejson, are written as JSON
-// so the before/after record stays machine-readable.
-
-// engineScenario is one head-to-head measurement.
-type engineScenario struct {
-	Name           string  `json:"name"`
-	CompiledNsOp   int64   `json:"compiled_ns_op"`
-	InterpretedNs  int64   `json:"interpreted_ns_op"`
-	Speedup        float64 `json:"speedup"`
-	OutputsPerIter int     `json:"outputs_per_iter,omitempty"`
-}
+// The -engine mode records the service-path numbers that
+// BENCH_engine.json tracks across PRs: the compiled engines behind
+// the full cache and worker-pool stack. Results print as a table and,
+// with -enginejson, are written as JSON so the before/after record
+// stays machine-readable.
 
 // serviceScenario is one service-path measurement (compiled engines,
 // full cache/worker-pool stack — the numbers the service benchmarks
@@ -41,10 +28,9 @@ type serviceScenario struct {
 }
 
 type engineReport struct {
-	Generated  string            `json:"generated"`
-	Quick      bool              `json:"quick"`
-	HeadToHead []engineScenario  `json:"head_to_head"`
-	Service    []serviceScenario `json:"service_path"`
+	Generated string            `json:"generated"`
+	Quick     bool              `json:"quick"`
+	Service   []serviceScenario `json:"service_path"`
 }
 
 // measure runs f repeatedly after one warmup call until the time
@@ -60,21 +46,14 @@ func measure(f func(), budget time.Duration) int64 {
 	return time.Since(start).Nanoseconds() / int64(iters)
 }
 
-// enginePair compiles one automaton into a compiled-program engine and
-// an interpreted twin.
-func enginePair(expr string, forceFPT bool) (*eval.Engine, *eval.Engine) {
-	n := rgx.MustParse(expr)
-	compiled := eval.NewEngine(va.FromRGX(n))
-	interp := eval.NewEngine(va.FromRGX(n))
-	interp.ForceInterpreted()
-	if forceFPT {
-		compiled.ForceFPT()
-		interp.ForceFPT()
+// mustEngine compiles a into an engine; the benchmark automata are
+// fixed and within the program budgets, so failure is a bug.
+func mustEngine(a *va.VA) *eval.Engine {
+	e, err := eval.NewEngine(a)
+	if err != nil {
+		panic(fmt.Sprintf("benchmark automaton: %v", err))
 	}
-	if !compiled.Compiled() {
-		panic(fmt.Sprintf("engine benchmark: %q did not compile to a program", expr))
-	}
-	return compiled, interp
+	return e
 }
 
 func runEngineBench(quick bool, jsonPath string) engineReport {
@@ -84,65 +63,6 @@ func runEngineBench(quick bool, jsonPath string) engineReport {
 	}
 	rep := engineReport{Generated: time.Now().UTC().Format(time.RFC3339), Quick: quick}
 
-	headToHead := func(name string, compiled, interp func() int) {
-		outs := compiled()
-		c := measure(func() { compiled() }, budget)
-		i := measure(func() { interp() }, budget)
-		sc := engineScenario{
-			Name: name, CompiledNsOp: c, InterpretedNs: i,
-			Speedup: float64(i) / float64(c), OutputsPerIter: outs,
-		}
-		rep.HeadToHead = append(rep.HeadToHead, sc)
-		row(name, fmt.Sprintf("%.2fx", sc.Speedup),
-			fmt.Sprintf("compiled=%v interpreted=%v", time.Duration(c), time.Duration(i)))
-	}
-
-	fmt.Println("== engine head-to-head: compiled program vs interpreted transitions")
-
-	// Sequential Eval (Theorem 5.7) on the registry workload.
-	rows := 2048
-	if quick {
-		rows = 256
-	}
-	sellerExpr := `.*(Seller: x{[^,\n]*}, ID\d*(, \$y{[^\n]*}|)\n).*`
-	cEng, iEng := enginePair(sellerExpr, false)
-	regDoc := spanners.NewDocument(workload.LandRegistry(workload.LandRegistryOptions{Rows: rows, TaxProb: 0.5, Seed: 11}))
-	headToHead(fmt.Sprintf("eval/sequential |d|=%d", regDoc.Len()),
-		func() int { boolToInt(cEng.NonEmpty(regDoc)); return 0 },
-		func() int { boolToInt(iEng.NonEmpty(regDoc)); return 0 })
-
-	// Sequential enumeration (Theorem 5.1 delay bound).
-	enRows := 48
-	if quick {
-		enRows = 12
-	}
-	enDoc := spanners.NewDocument(workload.LandRegistry(workload.LandRegistryOptions{Rows: enRows, TaxProb: 0.5, Seed: 12}))
-	headToHead(fmt.Sprintf("enumerate/sequential rows=%d", enRows),
-		func() int { n := 0; cEng.Enumerate(enDoc, func(spanners.Mapping) bool { n++; return true }); return n },
-		func() int { n := 0; iEng.Enumerate(enDoc, func(spanners.Mapping) bool { n++; return true }); return n })
-
-	// Counting DP.
-	countDoc := spanners.NewDocument(strings.Repeat("a", 1200))
-	cCnt, iCnt := enginePair(`.*x{a+}.*`, false)
-	headToHead("count/sequential |d|=1200",
-		func() int { return cCnt.Count(countDoc) },
-		func() int { return iCnt.Count(countDoc) })
-
-	// FPT engine (Theorem 5.10) forced on both.
-	fptDoc := spanners.NewDocument(workload.RepeatRow("ab", 96))
-	cFpt, iFpt := enginePair(`(x0{a}|x1{a}|x2{a}|b)*`, true)
-	headToHead(fmt.Sprintf("eval/fpt k=3 |d|=%d", fptDoc.Len()),
-		func() int { boolToInt(cFpt.NonEmpty(fptDoc)); return 0 },
-		func() int { boolToInt(iFpt.NonEmpty(fptDoc)); return 0 })
-
-	// Streaming first result: the service latency axis.
-	streamDoc := spanners.NewDocument(strings.Repeat("a", 200))
-	cStr, iStr := enginePair(`a*x{a*}a*`, false)
-	headToHead("stream/first-result |d|=200",
-		func() int { cStr.Enumerate(streamDoc, func(spanners.Mapping) bool { return false }); return 1 },
-		func() int { iStr.Enumerate(streamDoc, func(spanners.Mapping) bool { return false }); return 1 })
-
-	fmt.Println()
 	fmt.Println("== service path (compiled engines, full cache + worker pool)")
 	svc := service.New(service.Config{Workers: 4})
 	ctx := context.Background()

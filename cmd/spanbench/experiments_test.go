@@ -56,7 +56,7 @@ func TestBenchModesQuick(t *testing.T) {
 	dir := t.TempDir()
 
 	eng := runEngineBench(true, filepath.Join(dir, "engine.json"))
-	if !eng.Quick || len(eng.HeadToHead) == 0 || len(eng.Service) == 0 {
+	if !eng.Quick || len(eng.Service) == 0 {
 		t.Fatalf("engine report: %+v", eng)
 	}
 	readReport(t, filepath.Join(dir, "engine.json"))

@@ -27,9 +27,9 @@ import (
 // so matching uses the stable prefix before the first space.
 
 // gatedReport is the gate's view of any benchmark report: scenario
-// names with their speedups and service ns/op. Both the -engine and
-// -dfa reports project onto it via JSON (their head-to-head rows all
-// carry "name" and "speedup").
+// names with their speedups and service ns/op. Every mode's report
+// projects onto it via JSON (head-to-head rows all carry "name" and
+// "speedup"; the -engine report has service rows only).
 type gatedReport struct {
 	Quick      bool `json:"quick"`
 	HeadToHead []struct {
@@ -141,8 +141,8 @@ func gateAgainstBaseline(report any, baselinePath, section string, mult float64)
 	if err := json.Unmarshal(secRaw, &base); err != nil {
 		return fmt.Errorf("parse baseline section %q: %w", section, err)
 	}
-	if len(base.HeadToHead) == 0 {
-		return fmt.Errorf("baseline section %q has no head_to_head rows", section)
+	if len(base.HeadToHead) == 0 && len(base.Service) == 0 {
+		return fmt.Errorf("baseline section %q has no head_to_head or service_path rows", section)
 	}
 	if mult < 1 {
 		return fmt.Errorf("gate multiplier %.2f must be >= 1", mult)

@@ -74,6 +74,23 @@ func TestGateAgainstBaseline(t *testing.T) {
 		t.Fatalf("engine section applied incremental floors: %v", err)
 	}
 
+	// A service-only section (the -engine report) gates on its
+	// service rows alone.
+	svcBase := writeBaseline(t, "spanbench_engine", report(false, nil,
+		map[string]int64{"service/compile_cached": 40_000}))
+	if err := gateAgainstBaseline(report(false, nil, map[string]int64{"service/compile_cached": 60_000}),
+		svcBase, "spanbench_engine", 2); err != nil {
+		t.Fatalf("healthy service-only run failed the gate: %v", err)
+	}
+	if err := gateAgainstBaseline(report(false, nil, map[string]int64{"service/compile_cached": 90_000}),
+		svcBase, "spanbench_engine", 2); err == nil || !strings.Contains(err.Error(), "service") {
+		t.Fatalf("regressed service-only run passed the gate: %v", err)
+	}
+	emptyBase := writeBaseline(t, "spanbench_engine", report(false, nil, nil))
+	if err := gateAgainstBaseline(ok, emptyBase, "spanbench_engine", 2); err == nil {
+		t.Fatal("baseline section without rows passed the gate")
+	}
+
 	// Service ns/op above baseline*mult fails.
 	slowSvc := report(false,
 		map[string]float64{"weblog/tail-append lines=1024": 1900, "weblog/mid-edit lines=1024": 950},

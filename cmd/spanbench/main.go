@@ -17,9 +17,8 @@
 //	spanbench -algebra -gatebase BENCH_algebra.json [-gatemult 2]
 //	spanbench -obs [-quick] [-obsjson BENCH_obs.json] [-obsgate 0.03]
 //
-// The -engine mode instead benchmarks the compiled execution core
-// against the interpreted engines (head-to-head on the same automata)
-// and records the service-path numbers tracked in BENCH_engine.json.
+// The -engine mode instead records the service-path numbers of the
+// compiled engines tracked in BENCH_engine.json.
 // The -dfa mode benchmarks the lazy-DFA + superinstruction layer
 // against plain bitset stepping on the same compiled programs,
 // tracked in BENCH_dfa.json. The -incremental mode benchmarks
@@ -62,7 +61,7 @@ import (
 var (
 	runFilter  = flag.String("run", "", "only experiments whose id contains this substring")
 	quick      = flag.Bool("quick", false, "smaller sweeps")
-	engineFlag = flag.Bool("engine", false, "run the compiled-vs-interpreted engine benchmarks instead of the experiment tables")
+	engineFlag = flag.Bool("engine", false, "run the service-path engine benchmarks instead of the experiment tables")
 	engineJSON = flag.String("enginejson", "", "with -engine: write results as JSON to this file")
 	dfaFlag    = flag.Bool("dfa", false, "run the lazy-DFA-vs-bitset-stepping benchmarks instead of the experiment tables")
 	dfaJSON    = flag.String("dfajson", "", "with -dfa: write results as JSON to this file")
@@ -240,7 +239,13 @@ func runE5(q bool) {
 	}
 	for _, n := range ns {
 		ins := reductions.RandomOneInThreeSAT(rng, n+2, n)
-		eng := eval.CompileRGX(ins.ToSpanRGX())
+		// The reduction's variable count grows with the clauses; past
+		// program.MaxVars the engine refuses the instance outright.
+		eng, err := eval.CompileRGX(ins.ToSpanRGX())
+		if err != nil {
+			row(fmt.Sprintf("clauses=%d", n), "refused", err)
+			continue
+		}
 		d := spanners.NewDocument("")
 		var got bool
 		el := timed(func() { got = eng.NonEmpty(d) })
@@ -265,7 +270,7 @@ func runE6(q bool) {
 
 func runE7(q bool) {
 	s := spanners.MustCompile(`.*(Seller: x{[^,\n]*}, ID\d*(, \$y{[^\n]*}|)\n).*`)
-	eng := eval.CompileRGX(s.Expr())
+	eng := mustEngine(va.FromRGX(s.Expr()))
 	sizes := []int{4, 8, 16, 32}
 	if q {
 		sizes = []int{4, 8}
@@ -296,7 +301,7 @@ func runE8(q bool) {
 	}
 	for _, n := range ns {
 		g := reductions.RandomDigraph(rng, n, 0.35, n%2 == 0)
-		eng := eval.NewEngine(g.ToRelationalVA())
+		eng := mustEngine(g.ToRelationalVA())
 		var got bool
 		el := timed(func() { got = eng.NonEmpty(reductions.EmptyDocument()) })
 		row(fmt.Sprintf("vertices=%d", n), el, fmt.Sprintf("ham-path=%v (exponential growth expected)", got))
@@ -327,7 +332,7 @@ func runE10(q bool) {
 			expr += fmt.Sprintf("x%d{a}|", i)
 		}
 		expr += "b)*"
-		return eval.CompileRGX(rgx.MustParse(expr))
+		return mustEngine(va.FromRGX(rgx.MustParse(expr)))
 	}
 	for _, k := range []int{1, 2, 4, 6, 8} {
 		eng := mk(k)

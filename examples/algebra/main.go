@@ -33,7 +33,7 @@ func main() {
 	// Join: compatible outputs merge. y and z may properly overlap —
 	// something no single RGX can produce (its outputs are always
 	// hierarchical).
-	j := spanners.Join(y3, z3)
+	j := must(spanners.Join(y3, z3))
 	overlapping := 0
 	for _, m := range j.ExtractAll(doc) {
 		if !m.Hierarchical() {
@@ -44,21 +44,21 @@ func main() {
 		doc.Text(), len(j.ExtractAll(doc)), overlapping)
 
 	// Union combines alternatives with different domains.
-	u := spanners.Union(
+	u := must(spanners.Union(
 		spanners.MustCompile("x{ab}.*"),
 		spanners.MustCompile(".*w{de}"),
-	)
+	))
 	fmt.Println("union outputs:", u.ExtractAll(doc))
 
 	// Projection drops variables.
-	p := spanners.Project(j, "y")
+	p := must(spanners.Project(j, "y"))
 	fmt.Println("projection to y has", len(p.ExtractAll(doc)), "outputs")
 	fmt.Println()
 
 	// Determinization (Proposition 6.5): same outputs, deterministic
 	// transitions — the automaton may grow.
 	nd := spanners.MustCompile("x{a}|y{a}")
-	det := spanners.Determinize(nd)
+	det := must(spanners.Determinize(nd))
 	fmt.Printf("determinize: %d -> %d states, deterministic=%v\n",
 		nd.Automaton().NumStates, det.Automaton().NumStates,
 		det.Automaton().IsDeterministic())
@@ -70,8 +70,8 @@ func main() {
 	// Containment: the general check is expensive (PSPACE-complete,
 	// Theorem 6.4); for deterministic sequential point-disjoint
 	// spanners the product check of Theorem 6.7 runs in PTIME.
-	small := spanners.Determinize(spanners.MustCompile("x{ab}c(y{d})"))
-	big := spanners.Determinize(spanners.MustCompile("x{ab}.(y{d})"))
+	small := must(spanners.Determinize(spanners.MustCompile("x{ab}c(y{d})")))
+	big := must(spanners.Determinize(spanners.MustCompile("x{ab}.(y{d})")))
 	ok, err := spanners.ContainedDetSeq(small, big)
 	fmt.Printf("PTIME containment x{ab}c(y{d}) ⊆ x{ab}.(y{d}): %v (err=%v)\n", ok, err)
 	ok, err = spanners.ContainedDetSeq(big, small)
@@ -83,6 +83,15 @@ func main() {
 	fmt.Println()
 
 	served(doc)
+}
+
+// must unwraps an algebra result; the example's compositions are far
+// inside the compiled-program budgets.
+func must(sp *spanners.Spanner, err error) *spanners.Spanner {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return sp
 }
 
 // served replays the same algebra through the full serving stack: an

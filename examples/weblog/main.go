@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"spanners"
 	"spanners/internal/workload"
@@ -45,7 +46,10 @@ func main() {
 	}
 
 	// Projection: keep only the path variable for a URL histogram.
-	paths := spanners.Project(line, "p")
+	paths, err := spanners.Project(line, "p")
+	if err != nil {
+		log.Fatal(err)
+	}
 	hist := map[string]int{}
 	paths.Enumerate(doc, func(m spanners.Mapping) bool {
 		hist[doc.Content(m["p"])]++

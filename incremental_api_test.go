@@ -89,29 +89,18 @@ func TestIncrementalSession(t *testing.T) {
 }
 
 // TestIncrementalRefusal pins the capability gate on the public
-// surface: interpreted spanners refuse a session and report a zero
-// fingerprint.
+// surface: a non-sequential spanner refuses a session, yet still has
+// a program and so a nonzero fingerprint.
 func TestIncrementalRefusal(t *testing.T) {
-	// More variables than the program's 32-variable mask budget forces
-	// the interpreted fallback.
-	var b strings.Builder
-	for i := 0; i < 33; i++ {
-		b.WriteString("v")
-		b.WriteString(string(rune('a' + i%26)))
-		if i >= 26 {
-			b.WriteString("2")
-		}
-		b.WriteString("{a}")
-	}
-	s := MustCompile(b.String())
-	if s.Compiled() {
-		t.Fatal("33-variable pattern unexpectedly compiled")
+	s := MustCompile(`(x0{a}|x1{a}|b)*`)
+	if s.Sequential() {
+		t.Fatal("starred captures unexpectedly sequential")
 	}
 	if _, ok := s.Incremental("aaa"); ok {
-		t.Fatal("interpreted spanner accepted an incremental session")
+		t.Fatal("non-sequential spanner accepted an incremental session")
 	}
-	if s.ProgramFingerprint() != 0 {
-		t.Fatal("interpreted spanner reported a nonzero fingerprint")
+	if s.ProgramFingerprint() == 0 {
+		t.Fatal("non-sequential spanner reported a zero fingerprint")
 	}
 }
 

@@ -50,8 +50,9 @@ import (
 
 // Typed algebra errors, matched with errors.Is. Everything a hostile
 // or mistaken expression can provoke maps onto one of these (or onto
-// a registry error from leaf resolution), so the HTTP layer can
-// classify failures as client errors rather than 500s.
+// a registry error from leaf resolution, or onto program.ErrBudget
+// when a composition is beyond the compiled-program budgets), so the
+// HTTP layer can classify failures as client errors rather than 500s.
 var (
 	// ErrSyntax reports a malformed expression.
 	ErrSyntax = errors.New("algebra: syntax error")
@@ -64,9 +65,6 @@ var (
 	// ErrCycle reports registered algebra expressions that resolve
 	// through themselves.
 	ErrCycle = errors.New("algebra: cyclic reference between registered expressions")
-	// ErrNotCompiled reports a composition whose result exceeds the
-	// compiled program's budgets and cannot be persisted.
-	ErrNotCompiled = errors.New("algebra: composed spanner exceeds compiled-program budgets")
 	// ErrTooLarge reports an expression with more than MaxLeaves leaf
 	// references.
 	ErrTooLarge = errors.New("algebra: expression has too many leaves")

@@ -1,11 +1,13 @@
 package algebra
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
 	"spanners"
+	"spanners/internal/program"
 )
 
 // LeafResolver turns a leaf reference into an automaton-bearing
@@ -153,11 +155,11 @@ type builder struct {
 }
 
 // timed runs one composition step and records its wall time.
-func timed[T any](b *builder, op string, f func() T) T {
+func timed(b *builder, op string, f func() (*spanners.Spanner, error)) (*spanners.Spanner, error) {
 	start := time.Now()
-	v := f()
+	v, err := f()
 	b.costs = append(b.costs, OpCost{Op: op, DurNs: time.Since(start).Nanoseconds()})
-	return v
+	return v, err
 }
 
 // resolveLeaves rebuilds e with every leaf pinned to its resolved
@@ -336,12 +338,15 @@ func (b *builder) composeNode(e Expr) (*spanners.Spanner, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		sp, err := spanners.Difference(left, right, b.opts.DifferenceBudget)
-		b.costs = append(b.costs, OpCost{Op: "difference", DurNs: time.Since(start).Nanoseconds()})
-		if err != nil {
-			// The only failure is budget exhaustion; surface the
-			// package sentinel with the underlying cause chained.
+		sp, err := timed(b, "difference", func() (*spanners.Spanner, error) {
+			return spanners.Difference(left, right, b.opts.DifferenceBudget)
+		})
+		switch {
+		case errors.Is(err, program.ErrBudget):
+			return nil, fmt.Errorf("%s: %w", n.Canonical(), err)
+		case err != nil:
+			// Otherwise the determinization ran out of states; surface
+			// the package sentinel with the underlying cause chained.
 			return nil, fmt.Errorf("%w in %s: %w", ErrBudget, n.Canonical(), err)
 		}
 		return sp, nil
@@ -351,14 +356,14 @@ func (b *builder) composeNode(e Expr) (*spanners.Spanner, error) {
 		if err != nil {
 			return nil, err
 		}
-		return timed(b, "project", func() *spanners.Spanner { return spanners.Project(arg, n.Vars...) }), nil
+		return timed(b, "project", func() (*spanners.Spanner, error) { return spanners.Project(arg, n.Vars...) })
 
 	default:
 		return nil, fmt.Errorf("%w: unknown node type %T", ErrSyntax, e)
 	}
 }
 
-func (b *builder) fold(name string, args []Expr, op func(a, b *spanners.Spanner) *spanners.Spanner) (*spanners.Spanner, error) {
+func (b *builder) fold(name string, args []Expr, op func(a, b *spanners.Spanner) (*spanners.Spanner, error)) (*spanners.Spanner, error) {
 	var acc *spanners.Spanner
 	for i, a := range args {
 		sp, err := b.compose(a)
@@ -367,8 +372,10 @@ func (b *builder) fold(name string, args []Expr, op func(a, b *spanners.Spanner)
 		}
 		if i == 0 {
 			acc = sp
-		} else {
-			acc = timed(b, name, func() *spanners.Spanner { return op(acc, sp) })
+			continue
+		}
+		if acc, err = timed(b, name, func() (*spanners.Spanner, error) { return op(acc, sp) }); err != nil {
+			return nil, err
 		}
 	}
 	return acc, nil

@@ -16,7 +16,7 @@ import (
 // This file is the optimizer's correctness spine: a generator of
 // random well-formed expressions over a seeded leaf pool, evaluated
 // optimized vs literal vs a set-semantics oracle across the engine
-// knob matrix (compiled+DFA / compiled no-DFA / interpreted), plus
+// knob matrix (compiled+DFA / compiled no-DFA), plus
 // golden tests pinning each rewrite rule — and pinning the two
 // tempting rules that must NOT fire.
 
@@ -220,21 +220,29 @@ func joinSorted(set map[string]bool) string {
 	return strings.Join(keys, "\n")
 }
 
-// knobEngines builds the three evaluation configurations of one plan:
-// the full compiled ladder (DFA on), compiled bitset stepping (DFA
-// off), and the pre-compilation interpreted engine.
-func knobEngines(p *Plan) map[string]*eval.Engine {
-	full := eval.NewEngine(p.Spanner.Automaton())
-	nodfa := eval.NewEngine(p.Spanner.Automaton())
+// mustEngine compiles a plan's automaton, failing the test on error.
+func mustEngine(t testing.TB, p *Plan) *eval.Engine {
+	t.Helper()
+	e, err := eval.NewEngine(p.Spanner.Automaton())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// knobEngines builds the two evaluation configurations of one plan:
+// the full compiled ladder (DFA on) and compiled bitset stepping (DFA
+// off).
+func knobEngines(t testing.TB, p *Plan) map[string]*eval.Engine {
+	full := mustEngine(t, p)
+	nodfa := mustEngine(t, p)
 	nodfa.ForceNoDFA()
-	interp := eval.NewEngine(p.Spanner.Automaton())
-	interp.ForceInterpreted()
-	return map[string]*eval.Engine{"dfa": full, "nodfa": nodfa, "interpreted": interp}
+	return map[string]*eval.Engine{"dfa": full, "nodfa": nodfa}
 }
 
 // TestPlanDifferential is the acceptance harness: ≥1000 random
 // well-formed expressions, each built literally and optimized, each
-// evaluated through all three engine configurations, all six paths
+// evaluated through both engine configurations, all four paths
 // byte-identical to the set-semantics oracle.
 func TestPlanDifferential(t *testing.T) {
 	res, byVars := newHarnessPool(t)
@@ -340,10 +348,10 @@ func TestPlanDifferential(t *testing.T) {
 			rewrote++
 		}
 		engines := map[string]*eval.Engine{}
-		for k, eng := range knobEngines(lit) {
+		for k, eng := range knobEngines(t, lit) {
 			engines["literal/"+k] = eng
 		}
-		for k, eng := range knobEngines(opt) {
+		for k, eng := range knobEngines(t, opt) {
 			engines["optimized/"+k] = eng
 		}
 		for _, d := range docs {
@@ -500,7 +508,7 @@ func TestProjectionPastDifferenceMustNotFire(t *testing.T) {
 		t.Fatalf("test lost its edge: π(A)∖π(B) has %d mappings, want 0", unsound)
 	}
 	// …while the correct answer keeps the surviving x-assignment.
-	eng := eval.NewEngine(plan.Spanner.Automaton())
+	eng := mustEngine(t, plan)
 	var got []string
 	eng.Enumerate(doc, func(m span.Mapping) bool { got = append(got, m.Key()); return true })
 	if len(got) != 1 {
@@ -599,7 +607,7 @@ func TestDifferenceEndToEnd(t *testing.T) {
 	if want.Len() == 0 || want.Len() == leaves["all"].Automaton().Mappings(doc).Len() {
 		t.Fatalf("degenerate fixture: difference has %d mappings", want.Len())
 	}
-	for name, eng := range knobEngines(plan) {
+	for name, eng := range knobEngines(t, plan) {
 		if got := resultKeys(eng, doc); got != setKeys(want) {
 			t.Errorf("%s: got %q, want %q", name, got, setKeys(want))
 		}

@@ -9,23 +9,21 @@ import (
 	"spanners/internal/span"
 )
 
-// This file contains the compiled counterparts of the interpreted
-// algorithms in eval.go, enumerate.go and candidates.go: the same
-// theorems (5.1, 5.7, 5.10), executed against the flat ε-free
-// instruction tables of internal/program. Frontiers are bitsets,
-// variable operations are uint64 masks, and each document position
-// classifies its rune once instead of probing every transition's
-// class predicate.
+// This file holds the evaluation algorithms — Theorems 5.1, 5.7 and
+// 5.10 — executed against the flat ε-free instruction tables of
+// internal/program. Frontiers are bitsets, variable operations are
+// program.OpMask sets, and each document position classifies its rune
+// once instead of probing every transition's class predicate.
 
-// evalSeqProg is Theorem 5.7 on the compiled program. The per-boundary
-// obligation sets of the interpreted evalSequential become uint64
-// masks: popcount gives the obligation count, and a transition's mask
-// tells in one AND whether it consumes an obligation, is blocked, or
-// passes as ε. The unconstrained case — no obligation may block any
-// operation, which covers NonEmpty/Matches — runs on the lazy DFA
-// (memoized determinized transitions, fused runs, skip loops),
-// falling back to per-rune bitset stepping when the cache thrashes
-// its budget.
+// evalSeqProg is Theorem 5.7 on the compiled program. At each
+// boundary the operations of pinned variables that must fire there
+// form an obligation mask: popcount gives the obligation count, and a
+// transition's mask tells in one test whether it consumes an
+// obligation, is blocked, or passes as ε. The unconstrained case — no
+// obligation may block any operation, which covers NonEmpty/Matches —
+// runs on the lazy DFA (memoized determinized transitions, fused runs,
+// skip loops), falling back to per-rune bitset stepping when the cache
+// thrashes its budget.
 func (e *Engine) evalSeqProg(d *span.Document, mu span.Extended) bool {
 	p := e.prog
 	n := d.Len()
@@ -36,10 +34,10 @@ func (e *Engine) evalSeqProg(d *span.Document, mu span.Extended) bool {
 	if e.prefilterRejects(d) {
 		return false
 	}
-	var need []uint64
-	var blocked uint64
+	var need []program.OpMask
+	var blocked program.OpMask
 	if len(mu) > 0 {
-		need = make([]uint64, n+2)
+		need = make([]program.OpMask, n+2)
 		for v, o := range mu {
 			id, ok := p.VarID(v)
 			if !ok {
@@ -48,16 +46,16 @@ func (e *Engine) evalSeqProg(d *span.Document, mu span.Extended) bool {
 				}
 				continue
 			}
-			blocked |= program.OpenBit(id) | program.CloseBit(id)
+			blocked = blocked.Or(program.OpenBit(id)).Or(program.CloseBit(id))
 			if o.Bottom {
 				continue
 			}
-			need[o.Span.Start] |= program.OpenBit(id)
-			need[o.Span.End] |= program.CloseBit(id)
+			need[o.Span.Start] = need[o.Span.Start].Or(program.OpenBit(id))
+			need[o.Span.End] = need[o.Span.End].Or(program.CloseBit(id))
 		}
 	}
 	if e.DFAEnabled() {
-		if blocked == 0 {
+		if blocked.IsZero() {
 			// No obligations anywhere (need bits imply blocked bits),
 			// so the permissive forward DFA decides the run.
 			if res, ok := e.dfaMatch(d); ok {
@@ -69,13 +67,13 @@ func (e *Engine) evalSeqProg(d *span.Document, mu span.Extended) bool {
 	}
 
 	if need == nil {
-		need = make([]uint64, n+2)
+		need = make([]program.OpMask, n+2)
 	}
 	cur := program.NewBits(p.NumStates)
 	next := program.NewBits(p.NumStates)
 	cur.Set(p.Start)
 	for pos := 1; pos <= n+1; pos++ {
-		if m := need[pos]; m == 0 {
+		if m := need[pos]; m.IsZero() {
 			p.OpClosure(cur, blocked)
 		} else if !e.obligationClosureProg(cur, m, blocked) {
 			return false
@@ -124,7 +122,7 @@ func (e *Engine) dfaMatch(d *span.Document) (matched, ok bool) {
 // thrashes the cache budget. The letter crossing into an obligation
 // boundary steps raw: the obligation closure must see the pre-closure
 // frontier, matching the bitset loop's closure-then-step order.
-func (e *Engine) evalSeqSegmented(d *span.Document, need []uint64, blocked uint64) (res, ok bool) {
+func (e *Engine) evalSeqSegmented(d *span.Document, need []program.OpMask, blocked program.OpMask) (res, ok bool) {
 	p := e.prog
 	cdfa := p.DFAForMask(blocked)
 	if cdfa == nil {
@@ -137,7 +135,7 @@ func (e *Engine) evalSeqSegmented(d *span.Document, need []uint64, blocked uint6
 	// Obligation boundaries, ascending.
 	var obl []int
 	for pos := 1; pos <= n+1; pos++ {
-		if need[pos] != 0 {
+		if !need[pos].IsZero() {
 			obl = append(obl, pos)
 		}
 	}
@@ -150,7 +148,7 @@ func (e *Engine) evalSeqSegmented(d *span.Document, need []uint64, blocked uint6
 		for oi < len(obl) && obl[oi] < pos {
 			oi++
 		}
-		if need[pos] != 0 {
+		if !need[pos].IsZero() {
 			if !e.obligationClosureProg(cur, need[pos], blocked) {
 				return false, true
 			}
@@ -183,7 +181,7 @@ func (e *Engine) evalSeqSegmented(d *span.Document, need []uint64, blocked uint6
 		var s *program.DState
 		s, scratch = cdfa.StateScratch(cur, scratch)
 		cdfa.NoteSegment()
-		if segEnd == n+1 && need[n+1] == 0 {
+		if segEnd == n+1 && need[n+1].IsZero() {
 			// Sweep to the end of the document; the final boundary's
 			// closure is folded into the last forward step, and the
 			// entry closure was just applied, so acceptance is the
@@ -220,11 +218,12 @@ func (e *Engine) evalSeqSegmented(d *span.Document, need []uint64, blocked uint6
 
 // obligationClosureProg expands cur (in place) at a boundary that must
 // consume exactly the obligation mask need: layered bitsets indexed by
-// consumed-obligation count, sound by the same sequentiality counting
-// argument as the interpreted obligationClosure.
-func (e *Engine) obligationClosureProg(cur program.Bits, need, blocked uint64) bool {
+// consumed-obligation count. This is sound by sequentiality — no path
+// can fire an operation twice, so reaching count == |need| means each
+// obligation fired exactly once.
+func (e *Engine) obligationClosureProg(cur program.Bits, need, blocked program.OpMask) bool {
 	p := e.prog
-	total := bits.OnesCount64(need)
+	total := need.Count()
 	words := len(cur)
 	backing := make([]uint64, words*(total+1))
 	layer := func(c int) program.Bits { return program.Bits(backing[c*words : (c+1)*words]) }
@@ -241,12 +240,12 @@ func (e *Engine) obligationClosureProg(cur program.Bits, need, blocked uint64) b
 		q, count := int(idx%nStates), int(idx/nStates)
 		for _, ed := range p.OpsFrom(q) {
 			nc := count
-			if ed.Mask&need != 0 {
+			if ed.Mask.Intersects(need) {
 				if count == total {
 					continue
 				}
 				nc = count + 1
-			} else if ed.Mask&blocked != 0 {
+			} else if ed.Mask.Intersects(blocked) {
 				continue
 			}
 			if !layer(nc).Has(int(ed.To)) {
@@ -259,18 +258,17 @@ func (e *Engine) obligationClosureProg(cur program.Bits, need, blocked uint64) b
 	return cur.Any()
 }
 
-// pcfg is a compiled FPT configuration: a program state plus the
-// status vector of all program variables, two bits per variable
-// (0 available, 1 open, 2 closed) packed into one uint64.
+// pcfg is a compiled FPT configuration: a program state plus the set
+// of operations fired so far, which is the status vector of all
+// program variables — a variable is available while its open bit is
+// clear, open while only its open bit is set, closed when both are.
 type pcfg struct {
 	q  int32
-	st uint64
+	st program.OpMask
 }
 
-func pstatus(st uint64, v int) uint64 { return (st >> (2 * uint(v))) & 3 }
-
 // evalFPTProg is Theorem 5.10 on the compiled program: reachability
-// over (state, packed status vector) configurations. The frontier is
+// over (state, fired-operation set) configurations. The frontier is
 // group-native — a map from status vector to the bitset of states
 // carrying it — so individual configurations materialize only around
 // variable-operation edges: the boundary closure expands per-config
@@ -314,16 +312,16 @@ func (e *Engine) evalFPTProg(d *span.Document, mu span.Extended) bool {
 
 	start := program.NewBits(p.NumStates)
 	start.Set(p.Start)
-	frontier := map[uint64]program.Bits{0: start}
+	frontier := map[program.OpMask]program.Bits{{}: start}
 
 	// closure saturates the frontier at one boundary under op edges,
 	// respecting each variable's constraint class. Only states with op
 	// edges enter the per-config worklist; everything else is carried
 	// over by whole-group bitset ORs.
-	closure := func(frontier map[uint64]program.Bits, pos int) map[uint64]program.Bits {
-		out := make(map[uint64]program.Bits, len(frontier))
+	closure := func(frontier map[program.OpMask]program.Bits, pos int) map[program.OpMask]program.Bits {
+		out := make(map[program.OpMask]program.Bits, len(frontier))
 		var stack []pcfg
-		add := func(q int32, st uint64) {
+		add := func(q int32, st program.OpMask) {
 			g := out[st]
 			if g == nil {
 				g = program.NewBits(p.NumStates)
@@ -356,17 +354,16 @@ func (e *Engine) evalFPTProg(d *span.Document, mu span.Extended) bool {
 			stack = stack[:len(stack)-1]
 			for _, ed := range p.OpsFrom(int(c.q)) {
 				v := int(ed.Var)
-				var nst uint64
+				bit := uint64(1) << uint(v)
 				if ed.Open {
-					if pstatus(c.st, v) != 0 {
+					if c.st.Open&bit != 0 {
 						continue
 					}
 					if class[v] == clsPinned && starts[v] != pos {
 						continue
 					}
-					nst = c.st | 1<<(2*uint(v))
 				} else {
-					if pstatus(c.st, v) != 1 {
+					if c.st.Open&bit == 0 || c.st.Close&bit != 0 {
 						continue // close before open (or never-opened variable)
 					}
 					switch class[v] {
@@ -377,9 +374,8 @@ func (e *Engine) evalFPTProg(d *span.Document, mu span.Extended) bool {
 							continue
 						}
 					}
-					nst = c.st&^(3<<(2*uint(v))) | 2<<(2*uint(v))
 				}
-				add(ed.To, nst)
+				add(ed.To, c.st.Or(ed.Mask))
 			}
 		}
 		return out
@@ -412,7 +408,7 @@ func (e *Engine) evalFPTProg(d *span.Document, mu span.Extended) bool {
 			e.dfa.NoteFallback()
 			useDFA = false
 		}
-		next := make(map[uint64]program.Bits, len(frontier))
+		next := make(map[program.OpMask]program.Bits, len(frontier))
 		for st, g := range frontier {
 			var stepped program.Bits
 			if useDFA && g.Count() >= dfaGroupMinStates {
@@ -438,7 +434,7 @@ func (e *Engine) evalFPTProg(d *span.Document, mu span.Extended) bool {
 	for st, g := range frontier {
 		ok := true
 		for v := 0; v < k; v++ {
-			if class[v] == clsPinned && pstatus(st, v) != 2 {
+			if class[v] == clsPinned && st.Close&(1<<uint(v)) == 0 {
 				ok = false
 				break
 			}
@@ -457,12 +453,24 @@ type progOpAt struct {
 	pos  int
 }
 
-// enumerateSequentialProg is the branch-per-boundary walk of
-// enumerateSequential on the compiled program: frontiers and
-// co-reachability are bitsets, boundary operation sets are uint64
-// masks over the program's global op codes. The emission order is
-// identical to the interpreted enumerator (choices are keyed by the
-// same canonical op-set strings).
+// enumerateSequentialProg streams ⟦A⟧_d for a sequential automaton by
+// walking the document once per output branch: at every boundary the
+// reachable state set is split by the set of variable operations
+// fired there, and the DFS branches on that choice. Two properties of
+// sequential automata make this both correct and output-efficient:
+//
+//   - every path from the start state is a valid run prefix, so a
+//     branch never has to re-check variable discipline; and
+//   - the permissive co-reachability index is exact, so a branch is
+//     pruned the moment it cannot reach acceptance — every surviving
+//     branch produces at least one output, giving delay O(|d|·|δ|)
+//     between outputs without the Eval-oracle probing of Algorithm 2.
+//
+// A mapping is exactly the sequence of boundary operation sets, so
+// distinct branches produce distinct mappings and no deduplication is
+// needed. Frontiers and co-reachability are bitsets, boundary
+// operation sets program.OpMask values; outputs come in deterministic
+// order (boundary sets in canonical order at each position).
 func (e *Engine) enumerateSequentialProg(d *span.Document, yield func(span.Mapping) bool) {
 	if e.prefilterRejects(d) {
 		return
@@ -553,19 +561,16 @@ type progEmission struct {
 	states program.Bits
 }
 
-// maskKey renders an op mask as the canonical sorted token string the
-// interpreted enumerator uses, so both enumerators emit in the same
-// order.
-func (e *Engine) maskKey(m uint64) string {
+// maskKey renders an op mask as its canonical sorted token string,
+// the order key of boundary choices.
+func (e *Engine) maskKey(m program.OpMask) string {
 	p := e.prog
-	toks := make([]string, 0, bits.OnesCount64(m))
-	for w := m; w != 0; w &= w - 1 {
-		b := bits.TrailingZeros64(w)
-		if b < 32 {
-			toks = append(toks, "o"+string(p.Vars[b]))
-		} else {
-			toks = append(toks, "c"+string(p.Vars[b-32]))
-		}
+	toks := make([]string, 0, m.Count())
+	for w := m.Open; w != 0; w &= w - 1 {
+		toks = append(toks, "o"+string(p.Vars[bits.TrailingZeros64(w)]))
+	}
+	for w := m.Close; w != 0; w &= w - 1 {
+		toks = append(toks, "c"+string(p.Vars[bits.TrailingZeros64(w)]))
 	}
 	sort.Strings(toks)
 	k := ""
@@ -578,9 +583,9 @@ func (e *Engine) maskKey(m uint64) string {
 // boundaryEmissionsProg enumerates the distinct operation sets firable
 // from the state set at one boundary via a (state, mask) BFS; the
 // global op codes serve directly as mask bits, so no per-boundary
-// universe needs interning and the 30-operation cap of the
-// interpreted enumerator disappears (the program itself bounds
-// variables at program.MaxVars).
+// universe needs interning and every operation of the program's
+// program.MaxVars variables can fire. States not co-reachable are
+// dropped; choices whose state set dies are omitted.
 func (e *Engine) boundaryEmissionsProg(set program.Bits, coReach program.Bits) []progEmission {
 	p := e.prog
 	// Fast path: no surviving state can fire an operation, so the only
@@ -596,7 +601,7 @@ func (e *Engine) boundaryEmissionsProg(set program.Bits, coReach program.Bits) [
 
 	type cfg struct {
 		q    int32
-		mask uint64
+		mask program.OpMask
 	}
 	seen := map[cfg]bool{}
 	var queue []cfg
@@ -609,13 +614,13 @@ func (e *Engine) boundaryEmissionsProg(set program.Bits, coReach program.Bits) [
 		c := queue[0]
 		queue = queue[1:]
 		for _, ed := range p.OpsFrom(int(c.q)) {
-			if c.mask&ed.Mask != 0 {
+			if c.mask.Intersects(ed.Mask) {
 				continue // an operation fires at most once per run
 			}
 			if !coReach.Has(int(ed.To)) {
 				continue
 			}
-			nc := cfg{q: ed.To, mask: c.mask | ed.Mask}
+			nc := cfg{q: ed.To, mask: c.mask.Or(ed.Mask)}
 			if !seen[nc] {
 				seen[nc] = true
 				queue = append(queue, nc)
@@ -623,7 +628,7 @@ func (e *Engine) boundaryEmissionsProg(set program.Bits, coReach program.Bits) [
 		}
 	}
 
-	byMask := map[uint64]program.Bits{}
+	byMask := map[program.OpMask]program.Bits{}
 	for c := range seen {
 		s := byMask[c.mask]
 		if s == nil {
@@ -632,27 +637,28 @@ func (e *Engine) boundaryEmissionsProg(set program.Bits, coReach program.Bits) [
 		}
 		s.Set(int(c.q))
 	}
-	masks := make([]uint64, 0, len(byMask))
+	masks := make([]program.OpMask, 0, len(byMask))
 	for m := range byMask {
 		masks = append(masks, m)
 	}
+	// Canonical order: operation-firing choices before the do-nothing
+	// choice (so outputs come out in document order), then by op-set
+	// key so enumeration is deterministic.
 	sort.Slice(masks, func(i, j int) bool {
-		if (masks[i] == 0) != (masks[j] == 0) {
-			return masks[j] == 0
+		if masks[i].IsZero() != masks[j].IsZero() {
+			return masks[j].IsZero()
 		}
 		return e.maskKey(masks[i]) < e.maskKey(masks[j])
 	})
 
 	out := make([]progEmission, 0, len(masks))
 	for _, m := range masks {
-		ops := make([]progOpTok, 0, bits.OnesCount64(m))
-		for w := m; w != 0; w &= w - 1 {
-			b := bits.TrailingZeros64(w)
-			if b < 32 {
-				ops = append(ops, progOpTok{v: uint8(b), open: true})
-			} else {
-				ops = append(ops, progOpTok{v: uint8(b - 32), open: false})
-			}
+		ops := make([]progOpTok, 0, m.Count())
+		for w := m.Open; w != 0; w &= w - 1 {
+			ops = append(ops, progOpTok{v: uint8(bits.TrailingZeros64(w)), open: true})
+		}
+		for w := m.Close; w != 0; w &= w - 1 {
+			ops = append(ops, progOpTok{v: uint8(bits.TrailingZeros64(w)), open: false})
 		}
 		sort.Slice(ops, func(i, j int) bool {
 			if p.Vars[ops[i].v] != p.Vars[ops[j].v] {
@@ -692,9 +698,8 @@ func (e *Engine) letterAdvanceProg(set program.Bits, r rune, coReach program.Bit
 // while Match and the enumerator keep the DFA.
 const countDFASweepMinStates = 16
 
-// countProg is the memoized counting DP of Count on the compiled
-// program; memo keys are raw bitset words instead of formatted state
-// lists. Boundary choice sets resolve through the cross-position
+// countProg is the memoized counting DP of Count over (position,
+// state set) configurations; memo keys are raw bitset words. Boundary choice sets resolve through the cross-position
 // emission memo, which dedups the per-position BFS the DP's own
 // (position, set) memo cannot.
 func (e *Engine) countProg(d *span.Document) int {
@@ -762,7 +767,7 @@ func (e *Engine) forwardReachProg(d *span.Document) []program.Bits {
 	cur := program.NewBits(p.NumStates)
 	cur.Set(p.Start)
 	for pos := 1; pos <= n+1; pos++ {
-		p.OpClosure(cur, 0)
+		p.OpClosure(cur, program.OpMask{})
 		out[pos] = cur
 		if pos == n+1 {
 			break
@@ -813,8 +818,19 @@ func (e *Engine) backwardReachProgRaw(d *span.Document) []program.Bits {
 	return out
 }
 
-// candidateSpansProg is the candidate-span prefilter of
-// EnumerateFiltered on the compiled program.
+// candidateSpansProg computes, for each variable, an
+// over-approximation of the spans any output mapping can assign it:
+// pairs (i, j) such that some letter-consistent path opens the
+// variable at position i and closes it at position j. Enumeration then
+// probes only these candidates with the Eval oracle instead of all
+// O(|d|²) spans, which turns Algorithm 2 from "polynomial" into
+// "practical" — the oracle still validates every candidate, so the
+// filter cannot change the output set, only skip provably impossible
+// spans.
+//
+// The filter treats variable operations permissively (any operation
+// may fire regardless of discipline), so it is sound for sequential
+// and non-sequential automata alike.
 func (e *Engine) candidateSpansProg(d *span.Document) map[span.Var][]span.Span {
 	return e.candidateSpansProgFrom(d, e.forwardReachProg(d), e.backwardReachProg(d))
 }
@@ -860,7 +876,7 @@ func (e *Engine) candidateSpansProgFrom(d *span.Document, fwd, bwd []program.Bit
 				frontier.Clear()
 				frontier.Set(int(oe.to))
 				for pp := pos; pp <= n+1; pp++ {
-					p.OpClosure(frontier, 0)
+					p.OpClosure(frontier, program.OpMask{})
 					for _, ce := range closes[id] {
 						if frontier.Has(int(ce.from)) && bwd[pp].Has(int(ce.to)) {
 							seen[span.Span{Start: pos, End: pp}] = true

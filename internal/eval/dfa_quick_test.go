@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,14 +13,13 @@ import (
 	"spanners/internal/workload"
 )
 
-// This file is the differential property suite for the lazy-DFA layer
-// (PR 5): on the existing workload corpus, the DFA path, the
-// superinstruction (fused-run / skip) path it contains, the plain
-// bitset path (ForceNoDFA), and the interpreted oracle
-// (ForceInterpreted) must produce identical mapping sets, counts and
-// decisions — including at the cache-budget-exhausted fallback
-// boundary (a 2-state budget that flushes permanently) and on a
-// spanner at the 32-variable mask limit.
+// This file is the differential property suite for the lazy-DFA
+// layer: on the workload corpus, the DFA path, the superinstruction
+// (fused-run / skip) path it contains, and the plain bitset path
+// (ForceNoDFA) must produce the mapping sets, counts and decisions of
+// the va.Mappings reference — including at the cache-budget-exhausted
+// fallback boundary (a 2-state budget that flushes permanently) and
+// at the edges of the variable-mask budget.
 
 // workloadCorpus pairs expressions with documents from the workload
 // generators: the land-registry rows of Table 1, web logs with the
@@ -51,24 +51,18 @@ func workloadCorpus() []struct{ name, expr, doc string } {
 }
 
 // corpusEngines is engines() restricted to the auto-selected decision
-// procedure: the forced-FPT interpreted oracle is far too slow for
-// workload-sized documents (its differential coverage lives in
-// quick_test.go on short random documents).
-func corpusEngines(a *va.VA) map[string]*Engine {
-	compiled := NewEngine(a)
-	nodfa := NewEngine(a)
+// procedure (forced-FPT coverage lives in quick_test.go on short
+// random documents).
+func corpusEngines(t testing.TB, a *va.VA) map[string]*Engine {
+	compiled := mustEngine(t, a)
+	nodfa := mustEngine(t, a)
 	nodfa.ForceNoDFA()
-	tiny := NewEngine(a)
-	if p := tiny.Program(); p != nil {
-		tiny.UseDFA(program.NewDFA(p, 2))
-	}
-	interp := NewEngine(a)
-	interp.ForceInterpreted()
+	tiny := mustEngine(t, a)
+	tiny.UseDFA(program.NewDFA(tiny.Program(), 2))
 	return map[string]*Engine{
 		"compiled":         compiled,
 		"compiled-nodfa":   nodfa,
 		"compiled-tinydfa": tiny,
-		"interpreted":      interp,
 	}
 }
 
@@ -76,15 +70,15 @@ func TestDifferentialDFAOnWorkloadCorpus(t *testing.T) {
 	for _, tc := range workloadCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			a := va.FromRGX(rgx.MustParse(tc.expr))
-			engs := corpusEngines(a)
+			engs := corpusEngines(t, a)
 			if !engs["compiled"].DFAEnabled() {
 				t.Fatalf("DFA unexpectedly disabled for %q", tc.expr)
 			}
 			d := span.NewDocument(tc.doc)
 
-			want := engs["interpreted"].All(d)
-			wantCount := engs["interpreted"].Count(d)
-			wantMatch := engs["interpreted"].NonEmpty(d)
+			want := a.Mappings(d)
+			wantCount := want.Len()
+			wantMatch := wantCount > 0
 			for name, eng := range engs {
 				if got := eng.All(d); !got.Equal(want) {
 					t.Fatalf("%s disagrees on mapping set: %d vs %d mappings",
@@ -107,9 +101,9 @@ func TestDifferentialDFAOnWorkloadCorpus(t *testing.T) {
 func TestDifferentialDFABudgetBoundary(t *testing.T) {
 	tc := workloadCorpus()[0]
 	a := va.FromRGX(rgx.MustParse(tc.expr))
-	ref := NewEngine(a)
+	ref := mustEngine(t, a)
 	ref.ForceNoDFA()
-	tiny := NewEngine(a)
+	tiny := mustEngine(t, a)
 	tinyDFA := program.NewDFA(tiny.Program(), 2)
 	tiny.UseDFA(tinyDFA)
 
@@ -134,12 +128,13 @@ func TestDifferentialDFABudgetBoundary(t *testing.T) {
 	}
 }
 
-// TestDifferential32VariableSpanner pins the MaxVars edge: a
-// sequential spanner with exactly 32 variables — every bit of the
-// open/close masks in use — still compiles and runs the DFA, one with
-// 33 falls back to the interpreted engine, and all paths agree on
-// mapping sets and counts.
-func TestDifferential32VariableSpanner(t *testing.T) {
+// TestDifferentialVariableCountBoundary pins the mask edges: a
+// sequential spanner with 32, 33 (the first to use the upper half of
+// each mask word) and 64 variables — at 64 every bit of both mask words in use — compiles
+// and runs the DFA, every configuration (forced FPT included) agrees
+// with the reference on mapping sets, counts and model checks, and 65
+// variables is a typed ErrBudget refusal.
+func TestDifferentialVariableCountBoundary(t *testing.T) {
 	mk := func(k int) *va.VA {
 		var sb strings.Builder
 		for i := 0; i < k; i++ {
@@ -156,21 +151,17 @@ func TestDifferential32VariableSpanner(t *testing.T) {
 		return va.FromRGX(rgx.MustParse(sb.String()))
 	}
 
-	at := NewEngine(mk(program.MaxVars))
-	if !at.Compiled() || !at.DFAEnabled() || !at.Sequential() {
-		t.Fatalf("%d-variable spanner should compile sequential and run the DFA", program.MaxVars)
-	}
-	over := NewEngine(mk(program.MaxVars + 1))
-	if over.Compiled() {
-		t.Fatalf("%d-variable spanner should fall back to the interpreted engine", program.MaxVars+1)
-	}
-
-	for _, k := range []int{program.MaxVars, program.MaxVars + 1} {
+	for _, k := range []int{32, 33, program.MaxVars} {
 		a := mk(k)
 		doc := strings.Repeat("ab", (k+1)/2)[:k]
 		d := span.NewDocument(doc)
-		engs := corpusEngines(a)
-		want := engs["interpreted"].All(d)
+		engs := corpusEngines(t, a)
+		if e := engs["compiled"]; !e.DFAEnabled() || !e.Sequential() || len(e.Program().Vars) != k {
+			t.Fatalf("k=%d: spanner should compile sequential with %d variables and run the DFA", k, k)
+		}
+		fpt := mustEngine(t, a)
+		fpt.ForceFPT()
+		want := a.Mappings(d)
 		if want.Len() < 2 {
 			t.Fatalf("k=%d: degenerate corpus, %d mappings", k, want.Len())
 		}
@@ -182,6 +173,31 @@ func TestDifferential32VariableSpanner(t *testing.T) {
 				t.Fatalf("k=%d: %s Count %d vs %d", k, name, got, wantN)
 			}
 		}
+		engs["compiled-fpt"] = fpt
+		for _, m := range want.Mappings() {
+			for name, eng := range engs {
+				if !eng.ModelCheck(d, m) {
+					t.Fatalf("k=%d: %s rejects reference mapping %v", k, name, m)
+				}
+			}
+		}
+		// A span shifted off the document's letters must be refused.
+		var bad span.Mapping
+		for _, m := range want.Mappings() {
+			bad = span.Mapping{}
+			for v, s := range m {
+				bad[v] = s
+			}
+			bad["x00"] = span.Sp(2, 3)
+			break
+		}
+		if fpt.ModelCheck(d, bad) || engs["compiled"].ModelCheck(d, bad) {
+			t.Fatalf("k=%d: misplaced mapping %v accepted", k, bad)
+		}
+	}
+
+	if _, err := NewEngine(mk(program.MaxVars + 1)); !errors.Is(err, program.ErrBudget) {
+		t.Fatalf("%d-variable spanner: got %v, want program.ErrBudget", program.MaxVars+1, err)
 	}
 }
 
@@ -191,14 +207,14 @@ func TestDifferential32VariableSpanner(t *testing.T) {
 // in the enumerator mutated the aliased bitsets.
 func TestDFASweepsAliasedFrontiersAreSafe(t *testing.T) {
 	tc := workloadCorpus()[0]
-	eng := CompileRGX(rgx.MustParse(tc.expr))
+	eng := mustCompileRGX(t, rgx.MustParse(tc.expr))
 	d := span.NewDocument(tc.doc)
 	first := eng.All(d)
 	second := eng.All(d)
 	if !first.Equal(second) {
 		t.Fatalf("repeated enumeration diverged: %d vs %d mappings", first.Len(), second.Len())
 	}
-	if st, ok := eng.DFAStats(); !ok || st.Hits == 0 {
-		t.Fatalf("repeated enumeration produced no cache hits: %+v ok=%v", st, ok)
+	if st := eng.DFAStats(); st.Hits == 0 {
+		t.Fatalf("repeated enumeration produced no cache hits: %+v", st)
 	}
 }

@@ -13,7 +13,7 @@ func TestEnumeratorsAgree(t *testing.T) {
 	// The direct sequential enumerator, the filtered Algorithm 2 and
 	// the verbatim Algorithm 2 must produce the same mapping sets.
 	for _, e := range corpusExprs {
-		eng := CompileRGX(rgx.MustParse(e))
+		eng := mustCompileRGX(t, rgx.MustParse(e))
 		for _, text := range []string{"", "a", "ab", "aaabbb", "s:ab,9\n"} {
 			d := span.NewDocument(text)
 			direct := span.NewSet()
@@ -31,7 +31,7 @@ func TestEnumeratorsAgree(t *testing.T) {
 }
 
 func TestDirectEnumeratorNoDuplicates(t *testing.T) {
-	eng := CompileRGX(rgx.MustParse(".*x{a+}.*(y{b})?.*"))
+	eng := mustCompileRGX(t, rgx.MustParse(".*x{a+}.*(y{b})?.*"))
 	d := span.NewDocument("aabab")
 	seen := map[string]bool{}
 	eng.Enumerate(d, func(m span.Mapping) bool {
@@ -48,7 +48,7 @@ func TestDirectEnumeratorNoDuplicates(t *testing.T) {
 }
 
 func TestDirectEnumeratorDocumentOrder(t *testing.T) {
-	eng := CompileRGX(rgx.MustParse(".*(r:x{\\d*}\\n).*"))
+	eng := mustCompileRGX(t, rgx.MustParse(".*(r:x{\\d*}\\n).*"))
 	d := span.NewDocument("r:1\nr:22\nr:333\n")
 	var starts []int
 	eng.Enumerate(d, func(m span.Mapping) bool {
@@ -66,7 +66,7 @@ func TestDirectEnumeratorDocumentOrder(t *testing.T) {
 }
 
 func TestEnumerateEarlyStopDirect(t *testing.T) {
-	eng := CompileRGX(rgx.MustParse(".*x{a}.*"))
+	eng := mustCompileRGX(t, rgx.MustParse(".*x{a}.*"))
 	d := span.NewDocument("aaaaaaaaaa")
 	count := 0
 	eng.Enumerate(d, func(m span.Mapping) bool {
@@ -114,7 +114,7 @@ func TestRandomExpressionsAgainstNaive(t *testing.T) {
 	docs := []string{"", "a", "ab", "ba", "abab"}
 	for trial := 0; trial < 120; trial++ {
 		n := randomExpr(rng, 3, []span.Var{"x", "y"})
-		eng := CompileRGX(n)
+		eng := mustCompileRGX(t, n)
 		for _, text := range docs {
 			d := span.NewDocument(text)
 			want := naive.Eval(n, d)
@@ -129,7 +129,7 @@ func TestRandomExpressionsAgainstNaive(t *testing.T) {
 
 func TestCountMatchesEnumeration(t *testing.T) {
 	for _, e := range corpusExprs {
-		eng := CompileRGX(rgx.MustParse(e))
+		eng := mustCompileRGX(t, rgx.MustParse(e))
 		for _, text := range []string{"", "a", "ab", "aaabbb"} {
 			d := span.NewDocument(text)
 			n := 0
@@ -144,7 +144,7 @@ func TestCountMatchesEnumeration(t *testing.T) {
 func TestCountLargeWithoutEnumeration(t *testing.T) {
 	// .*x{a}.* over a^n has exactly n outputs; Count must get it
 	// right and fast through memoization.
-	eng := CompileRGX(rgx.MustParse(".*x{a}.*"))
+	eng := mustCompileRGX(t, rgx.MustParse(".*x{a}.*"))
 	n := 2000
 	buf := make([]byte, n)
 	for i := range buf {
@@ -162,7 +162,7 @@ func TestCountPairsQuadratic(t *testing.T) {
 	// against enumeration on a small instance, then trust the DP on a
 	// bigger one for the same formula by spot-checking the closed
 	// form the small case exhibits.
-	eng := CompileRGX(rgx.MustParse(".*x{a+}.*"))
+	eng := mustCompileRGX(t, rgx.MustParse(".*x{a+}.*"))
 	small := span.NewDocument("aaaa")
 	n := 0
 	eng.Enumerate(small, func(span.Mapping) bool { n++; return true })

@@ -18,15 +18,14 @@
 // picks automatically, so Eval is PTIME exactly on the fragments the
 // paper proves tractable and degrades gracefully elsewhere.
 //
-// Both engines execute a compiled form of the automaton by default:
-// NewEngine lowers the VA through internal/program into a flat ε-free
+// Both engines execute the compiled form of the automaton: NewEngine
+// lowers the VA through internal/program into a flat ε-free
 // instruction table (dense states, rune equivalence classes,
 // bit-packed variable operations, bitset frontiers), and the
-// algorithms in compiled.go run on those tables. The original
-// transition-walking implementations are retained as the fallback for
-// automata the compiler rejects (more than program.MaxVars variables,
-// oversized dispatch tables) and for differential testing via
-// ForceInterpreted.
+// algorithms in compiled.go run on those tables. There is no other
+// evaluation path: an automaton the compiler refuses (more than
+// program.MaxVars variables, oversized dispatch tables) makes
+// NewEngine fail with program.ErrBudget.
 package eval
 
 import (
@@ -47,16 +46,12 @@ type Engine struct {
 	varSet     map[span.Var]bool
 	sequential bool
 
-	// prog is the compiled execution core, nil when compilation was
-	// rejected; interpreted forces the pre-compilation paths even when
-	// prog exists (ablation and differential testing only).
-	prog        *program.Program
-	interpreted bool
+	// prog is the compiled execution core.
+	prog *program.Program
 
 	// dfa is the lazy-DFA transition cache layered over prog — shared
 	// with every other engine executing the same program; nodfa forces
-	// plain bitset stepping even when the cache exists (the
-	// differential-oracle switch mirroring ForceInterpreted).
+	// plain bitset stepping instead (a differential-oracle switch).
 	dfa   *program.DFA
 	nodfa bool
 
@@ -74,52 +69,49 @@ type Engine struct {
 
 // NewEngine wraps an automaton, detecting once whether the sequential
 // fast path applies and lowering the automaton into its compiled
-// program form. The automaton must not be mutated afterwards.
-func NewEngine(a *va.VA) *Engine {
-	e := &Engine{
-		a:          a,
-		vars:       a.Vars(),
-		sequential: a.IsSequential(),
+// program form. It fails with an error wrapping program.ErrBudget when
+// the automaton is beyond the compiler's budgets. The automaton must
+// not be mutated afterwards.
+func NewEngine(a *va.VA) (*Engine, error) {
+	p, err := program.Compile(a)
+	if err != nil {
+		return nil, err
 	}
-	e.varSet = make(map[span.Var]bool, len(e.vars))
-	for _, v := range e.vars {
-		e.varSet[v] = true
-	}
-	if p, err := program.Compile(a); err == nil {
-		e.prog = p
-		e.dfa = p.DFA()
-	}
-	return e
+	e := newEngine(p, a.IsSequential(), a.Vars())
+	e.a = a
+	return e, nil
 }
 
 // CompileRGX compiles a variable regex and wraps it in an engine.
-func CompileRGX(n rgx.Node) *Engine { return NewEngine(va.FromRGX(n)) }
+func CompileRGX(n rgx.Node) (*Engine, error) { return NewEngine(va.FromRGX(n)) }
 
 // FromProgram wraps an already-compiled program — typically decoded
 // from a registry artifact — as an engine, skipping the parse →
 // decompose → VA-compile pipeline entirely. The engine has no
-// automaton: Automaton returns nil, and the interpreted fallbacks are
-// unavailable (ForceInterpreted is a no-op), but every evaluation
-// path runs, because the compiled algorithms never consult the
-// automaton. sequential selects the PTIME engine exactly as
-// va.IsSequential would have on the source automaton; callers must
-// pass the value recorded when the program was built.
+// automaton (Automaton returns nil), but every evaluation path runs,
+// because the compiled algorithms never consult the automaton.
+// sequential selects the PTIME engine exactly as va.IsSequential
+// would have on the source automaton; callers must pass the value
+// recorded when the program was built.
 func FromProgram(p *program.Program, sequential bool) *Engine {
+	return newEngine(p, sequential, append([]span.Var(nil), p.Vars...))
+}
+
+func newEngine(p *program.Program, sequential bool, vars []span.Var) *Engine {
 	e := &Engine{
-		vars:       append([]span.Var(nil), p.Vars...),
+		vars:       vars,
+		varSet:     make(map[span.Var]bool, len(vars)),
 		sequential: sequential,
 		prog:       p,
 		dfa:        p.DFA(),
 	}
-	e.varSet = make(map[span.Var]bool, len(e.vars))
-	for _, v := range e.vars {
+	for _, v := range vars {
 		e.varSet[v] = true
 	}
 	return e
 }
 
-// Program returns the compiled program the engine executes, or nil
-// when compilation was rejected and the engine interprets.
+// Program returns the compiled program the engine executes.
 func (e *Engine) Program() *program.Program { return e.prog }
 
 // Automaton returns the underlying automaton.
@@ -138,26 +130,10 @@ func (e *Engine) Sequential() bool { return e.sequential }
 // never need it.
 func (e *Engine) ForceFPT() { e.sequential = false }
 
-// ForceInterpreted downgrades the engine to the pre-compilation,
-// transition-walking algorithms even when a compiled program exists.
-// It exists for the engine head-to-head benchmarks and for
-// differential testing; production callers should never need it. On a
-// program-only engine (FromProgram) there is no automaton to
-// interpret, so the call is a no-op.
-func (e *Engine) ForceInterpreted() {
-	if e.a != nil {
-		e.interpreted = true
-	}
-}
-
-// Compiled reports whether evaluation executes the compiled program
-// (true) or the interpreted transition-walking fallback (false).
-func (e *Engine) Compiled() bool { return e.prog != nil && !e.interpreted }
-
-// ForceNoDFA downgrades the engine to plain bitset stepping even when
-// the program's lazy-DFA cache exists. Like ForceInterpreted it is a
-// differential-oracle switch for head-to-head benchmarks and
-// property tests; production callers should never need it.
+// ForceNoDFA downgrades the engine to plain bitset stepping instead of
+// the program's lazy-DFA cache. It is a differential-oracle switch for
+// head-to-head benchmarks and property tests; production callers
+// should never need it.
 func (e *Engine) ForceNoDFA() { e.nodfa = true }
 
 // UseDFA replaces the engine's DFA cache — tests use it to install a
@@ -166,7 +142,7 @@ func (e *Engine) ForceNoDFA() { e.nodfa = true }
 func (e *Engine) UseDFA(d *program.DFA) { e.dfa = d }
 
 // DFAEnabled reports whether evaluation consults the lazy-DFA cache.
-func (e *Engine) DFAEnabled() bool { return e.dfa != nil && !e.nodfa && e.Compiled() }
+func (e *Engine) DFAEnabled() bool { return !e.nodfa }
 
 // ForceNoPrefilter disables the required-literal prefilter, keeping
 // every other DFA-layer accelerator. A differential-oracle switch for
@@ -207,13 +183,8 @@ func (e *Engine) BoundaryMemoStats() (BoundaryMemoStats, bool) {
 }
 
 // Prefilter returns the engine's required-literal prefilter, nil
-// when the program has none (or the engine interprets).
-func (e *Engine) Prefilter() *program.Prefilter {
-	if e.prog == nil {
-		return nil
-	}
-	return e.prog.Prefilter()
-}
+// when the program has none.
+func (e *Engine) Prefilter() *program.Prefilter { return e.prog.Prefilter() }
 
 // prefilterRejects reports whether the required-literal prefilter
 // proves the spanner's output on d empty: some mandatory literal is
@@ -238,40 +209,22 @@ func (e *Engine) prefilterRejects(d *span.Document) bool {
 // AllDFAStats snapshots the engine's shared permissive cache plus the
 // program's constrained-cache family, for service-level aggregation.
 func (e *Engine) AllDFAStats() []program.DFAStats {
-	if e.dfa == nil {
-		return nil
-	}
 	out := []program.DFAStats{e.dfa.Stats()}
-	if e.prog != nil {
-		for _, d := range e.prog.ConstrainedDFAs() {
-			out = append(out, d.Stats())
-		}
+	for _, d := range e.prog.ConstrainedDFAs() {
+		out = append(out, d.Stats())
 	}
 	return out
 }
 
-// DFAStats returns the counters of the engine's DFA cache; ok is
-// false when the engine has none (interpreted fallback).
-func (e *Engine) DFAStats() (program.DFAStats, bool) {
-	if e.dfa == nil {
-		return program.DFAStats{}, false
-	}
-	return e.dfa.Stats(), true
-}
+// DFAStats returns the counters of the engine's DFA cache.
+func (e *Engine) DFAStats() program.DFAStats { return e.dfa.Stats() }
 
-// DFA returns the engine's lazy-DFA cache, or nil for interpreted
-// engines. Callers use it to persist (Encode) or seed
-// (WarmFromArtifact) the cache.
+// DFA returns the engine's lazy-DFA cache. Callers use it to persist
+// (Encode) or seed (WarmFromArtifact) the cache.
 func (e *Engine) DFA() *program.DFA { return e.dfa }
 
-// ProgramStats returns the compiled program's statistics; ok is false
-// when the automaton could not be compiled and the engine interprets.
-func (e *Engine) ProgramStats() (program.Stats, bool) {
-	if e.prog == nil {
-		return program.Stats{}, false
-	}
-	return e.prog.Stats(), true
-}
+// ProgramStats returns the compiled program's statistics.
+func (e *Engine) ProgramStats() program.Stats { return e.prog.Stats() }
 
 // Eval decides the Eval[L] problem: does some µ' ⊇ µ belong to
 // ⟦A⟧_d? Constraints on variables the automaton cannot assign make
@@ -291,15 +244,9 @@ func (e *Engine) Eval(d *span.Document, mu span.Extended) bool {
 		}
 	}
 	if e.sequential {
-		if e.Compiled() {
-			return e.evalSeqProg(d, mu)
-		}
-		return e.evalSequential(d, mu)
+		return e.evalSeqProg(d, mu)
 	}
-	if e.Compiled() {
-		return e.evalFPTProg(d, mu)
-	}
-	return e.evalFPT(d, mu)
+	return e.evalFPTProg(d, mu)
 }
 
 // NonEmpty decides NonEmp[L]: ⟦A⟧_d ≠ ∅.
@@ -311,333 +258,6 @@ func (e *Engine) NonEmpty(d *span.Document) bool {
 // dom(µ), so every other automaton variable is constrained to ⊥.
 func (e *Engine) ModelCheck(d *span.Document, m span.Mapping) bool {
 	return e.Eval(d, span.FromMapping(m, e.vars))
-}
-
-// opToken identifies a variable operation for boundary bookkeeping.
-type opToken struct {
-	open bool
-	v    span.Var
-}
-
-// boundaryOps computes, for each document boundary 1..n+1, the set of
-// constrained operations that must fire exactly there.
-func boundaryOps(mu span.Extended, n int) ([]map[opToken]bool, bool) {
-	t := make([]map[opToken]bool, n+2)
-	add := func(b int, tok opToken) {
-		if t[b] == nil {
-			t[b] = map[opToken]bool{}
-		}
-		t[b][tok] = true
-	}
-	for v, o := range mu {
-		if o.Bottom {
-			continue
-		}
-		if o.Span.Start < 1 || o.Span.End > n+1 {
-			return nil, false
-		}
-		add(o.Span.Start, opToken{open: true, v: v})
-		add(o.Span.End, opToken{open: false, v: v})
-	}
-	return t, true
-}
-
-// evalSequential is the PTIME algorithm of Theorem 5.7. The NFA-style
-// simulation carries a set of automaton states across document
-// positions; at each boundary it closes the set under ε-transitions,
-// operations of unconstrained variables (sound to treat as ε because
-// on a sequential automaton every path is a valid run and those
-// variables are free to take whatever the run gives them), and the
-// boundary's obligation set, counting consumed obligations — on a
-// sequential automaton no path repeats an operation, so counting
-// |T_b| consumptions means every obligation fired exactly once.
-// Operations of ⊥-variables and misplaced constrained operations are
-// forbidden.
-func (e *Engine) evalSequential(d *span.Document, mu span.Extended) bool {
-	n := d.Len()
-	tb, ok := boundaryOps(mu, n)
-	if !ok {
-		return false
-	}
-	// Mark transitions blocked by the constraints: operations of
-	// pinned or ⊥ variables may only fire through an obligation set.
-	blocked := make([]bool, len(e.a.Trans))
-	for i, t := range e.a.Trans {
-		if t.Kind == va.Open || t.Kind == va.Close {
-			if _, ok := mu[t.Var]; ok {
-				blocked[i] = true
-			}
-		}
-	}
-
-	adj := e.a.Adj()
-	nStates := e.a.NumStates
-	cur := make([]bool, nStates)
-	next := make([]bool, nStates)
-	stack := make([]int, 0, nStates)
-	cur[e.a.Start] = true
-
-	for pos := 1; pos <= n+1; pos++ {
-		if need := tb[pos]; len(need) == 0 {
-			// Fast path: saturate under ε and unblocked operations.
-			stack = stack[:0]
-			for q := 0; q < nStates; q++ {
-				if cur[q] {
-					stack = append(stack, q)
-				}
-			}
-			for len(stack) > 0 {
-				q := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				for _, ti := range adj[q] {
-					t := e.a.Trans[ti]
-					if t.Kind == va.Letter || blocked[ti] || cur[t.To] {
-						continue
-					}
-					cur[t.To] = true
-					stack = append(stack, t.To)
-				}
-			}
-		} else if !e.obligationClosure(cur, need, blocked, adj) {
-			return false
-		}
-		if pos == n+1 {
-			break
-		}
-		r := d.RuneAt(pos)
-		for i := range next {
-			next[i] = false
-		}
-		any := false
-		for q := 0; q < nStates; q++ {
-			if !cur[q] {
-				continue
-			}
-			for _, ti := range adj[q] {
-				t := e.a.Trans[ti]
-				if t.Kind == va.Letter && t.Class.Contains(r) {
-					next[t.To] = true
-					any = true
-				}
-			}
-		}
-		if !any {
-			return false
-		}
-		cur, next = next, cur
-	}
-	for _, f := range e.a.Finals {
-		if cur[f] {
-			return true
-		}
-	}
-	return false
-}
-
-// obligationClosure expands the state set (in place) at a boundary
-// that must consume exactly the obligation set need: a (state, count)
-// BFS, sound by the sequentiality counting argument — no path can
-// fire an operation twice, so count == |need| means each obligation
-// fired exactly once. It reports whether any state survives.
-func (e *Engine) obligationClosure(cur []bool, need map[opToken]bool, blocked []bool, adj [][]int) bool {
-	total := len(need)
-	nStates := e.a.NumStates
-	seen := make([]bool, nStates*(total+1))
-	var stack []int
-	for q := 0; q < nStates; q++ {
-		if cur[q] {
-			seen[q*(total+1)] = true
-			stack = append(stack, q*(total+1))
-		}
-	}
-	for len(stack) > 0 {
-		idx := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		q, count := idx/(total+1), idx%(total+1)
-		for _, ti := range adj[q] {
-			t := e.a.Trans[ti]
-			var nidx int
-			switch t.Kind {
-			case va.Eps:
-				nidx = t.To*(total+1) + count
-			case va.Open, va.Close:
-				if need[opToken{open: t.Kind == va.Open, v: t.Var}] {
-					if count == total {
-						continue
-					}
-					nidx = t.To*(total+1) + count + 1
-				} else if blocked[ti] {
-					continue
-				} else {
-					nidx = t.To*(total+1) + count
-				}
-			default:
-				continue
-			}
-			if !seen[nidx] {
-				seen[nidx] = true
-				stack = append(stack, nidx)
-			}
-		}
-	}
-	any := false
-	for q := 0; q < nStates; q++ {
-		cur[q] = seen[q*(total+1)+total]
-		if cur[q] {
-			any = true
-		}
-	}
-	return any
-}
-
-// evalFPT is the general algorithm: reachability over configurations
-// (state, status vector over the automaton's variables), FPT in the
-// number of variables (3^k · |Q| · |d| configurations, Theorem 5.10).
-func (e *Engine) evalFPT(d *span.Document, mu span.Extended) bool {
-	n := d.Len()
-	k := len(e.vars)
-	idx := make(map[span.Var]int, k)
-	for i, v := range e.vars {
-		idx[v] = i
-	}
-
-	const (
-		stAvail  byte = 0
-		stOpen   byte = 1
-		stClosed byte = 2
-	)
-
-	type vclass int
-	const (
-		free vclass = iota
-		pinned
-		bot
-	)
-	classOf := make([]vclass, k)
-	starts := make([]int, k)
-	ends := make([]int, k)
-	for i, v := range e.vars {
-		if o, ok := mu[v]; ok {
-			if o.Bottom {
-				classOf[i] = bot
-			} else {
-				classOf[i] = pinned
-				starts[i] = o.Span.Start
-				ends[i] = o.Span.End
-			}
-		}
-	}
-
-	adj := e.a.Adj()
-	type cfg struct {
-		q  int
-		st string
-	}
-	start := cfg{e.a.Start, string(make([]byte, k))}
-	frontier := map[cfg]bool{start: true}
-
-	// closure expands a frontier at a fixed position pos under ε and
-	// operation transitions, respecting each variable's class.
-	closure := func(frontier map[cfg]bool, pos int) map[cfg]bool {
-		seen := map[cfg]bool{}
-		var stack []cfg
-		for c := range frontier {
-			seen[c] = true
-			stack = append(stack, c)
-		}
-		for len(stack) > 0 {
-			c := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			st := []byte(c.st)
-			for _, ti := range adj[c.q] {
-				t := e.a.Trans[ti]
-				var nc cfg
-				switch t.Kind {
-				case va.Eps:
-					nc = cfg{t.To, c.st}
-				case va.Open:
-					vi := idx[t.Var]
-					if st[vi] != stAvail {
-						continue
-					}
-					if classOf[vi] == pinned && starts[vi] != pos {
-						continue
-					}
-					ns := append([]byte(nil), st...)
-					ns[vi] = stOpen
-					nc = cfg{t.To, string(ns)}
-				case va.Close:
-					vi, known := idx[t.Var]
-					if !known {
-						continue // close of a never-opened variable
-					}
-					if st[vi] != stOpen {
-						continue
-					}
-					switch classOf[vi] {
-					case bot:
-						continue // closing would assign a ⊥ variable
-					case pinned:
-						if ends[vi] != pos {
-							continue
-						}
-					}
-					ns := append([]byte(nil), st...)
-					ns[vi] = stClosed
-					nc = cfg{t.To, string(ns)}
-				default:
-					continue
-				}
-				if !seen[nc] {
-					seen[nc] = true
-					stack = append(stack, nc)
-				}
-			}
-		}
-		return seen
-	}
-
-	for pos := 1; pos <= n+1; pos++ {
-		frontier = closure(frontier, pos)
-		if len(frontier) == 0 {
-			return false
-		}
-		if pos == n+1 {
-			break
-		}
-		r := d.RuneAt(pos)
-		next := map[cfg]bool{}
-		for c := range frontier {
-			for _, ti := range adj[c.q] {
-				t := e.a.Trans[ti]
-				if t.Kind == va.Letter && t.Class.Contains(r) {
-					next[cfg{t.To, c.st}] = true
-				}
-			}
-		}
-		frontier = next
-		if len(frontier) == 0 {
-			return false
-		}
-	}
-
-	for c := range frontier {
-		if !e.a.IsFinal(c.q) {
-			continue
-		}
-		ok := true
-		for vi := 0; vi < k; vi++ {
-			s := c.st[vi]
-			if classOf[vi] == pinned && byte(s) != stClosed {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
 }
 
 // Enumerate streams every mapping of ⟦A⟧_d to yield, stopping early
@@ -655,14 +275,27 @@ func (e *Engine) evalFPT(d *span.Document, mu span.Extended) bool {
 // direct and oracle strategies but each is deterministic.
 func (e *Engine) Enumerate(d *span.Document, yield func(span.Mapping) bool) {
 	if e.sequential {
-		if e.Compiled() {
-			e.enumerateSequentialProg(d, yield)
-			return
-		}
-		e.enumerateSequential(d, yield)
+		e.enumerateSequentialProg(d, yield)
 		return
 	}
 	e.EnumerateFiltered(d, yield)
+}
+
+// Count returns |⟦A⟧_d|, the number of distinct output mappings. For
+// sequential automata it runs a memoized dynamic program over
+// (state set, position) configurations of the enumeration tree —
+// branches of the tree correspond bijectively to mappings, so the
+// count needs no materialization and is typically far cheaper than
+// enumerating (spanner counting is a well-studied problem in its own
+// right). Non-sequential automata fall back to counting via
+// enumeration.
+func (e *Engine) Count(d *span.Document) int {
+	if !e.sequential {
+		n := 0
+		e.Enumerate(d, func(span.Mapping) bool { n++; return true })
+		return n
+	}
+	return e.countProg(d)
 }
 
 // EnumerateFiltered implements Algorithm 2 with a candidate-span
@@ -677,7 +310,7 @@ func (e *Engine) EnumerateFiltered(d *span.Document, yield func(span.Mapping) bo
 	if !e.Eval(d, span.Extended{}) {
 		return
 	}
-	e.enumerateFilteredFrom(d, e.candidates(d), yield)
+	e.enumerateFilteredFrom(d, e.candidateSpansProg(d), yield)
 }
 
 // enumerateFilteredFrom is the probing walk of EnumerateFiltered with

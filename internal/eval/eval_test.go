@@ -34,7 +34,7 @@ var corpusDocs = []string{"", "a", "b", "ab", "aab", "aaabbb", "abab", "s:ab,9\n
 func TestAllMatchesNaive(t *testing.T) {
 	for _, e := range corpusExprs {
 		n := rgx.MustParse(e)
-		eng := CompileRGX(n)
+		eng := mustCompileRGX(t, n)
 		for _, text := range corpusDocs {
 			d := span.NewDocument(text)
 			want := naive.Eval(n, d)
@@ -51,11 +51,11 @@ func TestSequentialAndFPTAgree(t *testing.T) {
 	// Force the FPT path on sequential automata and compare engines.
 	for _, e := range corpusExprs {
 		n := rgx.MustParse(e)
-		fast := CompileRGX(n)
+		fast := mustCompileRGX(t, n)
 		if !fast.Sequential() {
 			continue
 		}
-		slow := CompileRGX(n)
+		slow := mustCompileRGX(t, n)
 		slow.sequential = false
 		for _, text := range corpusDocs {
 			d := span.NewDocument(text)
@@ -67,7 +67,7 @@ func TestSequentialAndFPTAgree(t *testing.T) {
 }
 
 func TestModelCheck(t *testing.T) {
-	eng := CompileRGX(rgx.MustParse("x{a*}y{b*}"))
+	eng := mustCompileRGX(t, rgx.MustParse("x{a*}y{b*}"))
 	d := span.NewDocument("aaabbb")
 	if !eng.ModelCheck(d, span.Mapping{"x": span.Sp(1, 4), "y": span.Sp(4, 7)}) {
 		t.Error("the unique full parse must model-check")
@@ -79,7 +79,7 @@ func TestModelCheck(t *testing.T) {
 		t.Error("wrong span must fail")
 	}
 
-	opt := CompileRGX(rgx.MustParse("x{a*}(y{b+}|)"))
+	opt := mustCompileRGX(t, rgx.MustParse("x{a*}(y{b+}|)"))
 	d2 := span.NewDocument("aa")
 	if !opt.ModelCheck(d2, span.Mapping{"x": span.Sp(1, 3)}) {
 		t.Error("y legitimately unassigned must model-check")
@@ -90,7 +90,7 @@ func TestModelCheck(t *testing.T) {
 }
 
 func TestEvalPartialConstraints(t *testing.T) {
-	eng := CompileRGX(rgx.MustParse("x{a*}y{b*}"))
+	eng := mustCompileRGX(t, rgx.MustParse("x{a*}y{b*}"))
 	d := span.NewDocument("aaabbb")
 	// x pinned correctly, y free: extensible.
 	if !eng.Eval(d, span.Extended{"x": span.Assigned(span.Sp(1, 4))}) {
@@ -121,7 +121,7 @@ func TestEvalPartialConstraints(t *testing.T) {
 func TestEvalEmptySpanObligations(t *testing.T) {
 	// x{()}a: x is the empty span at position 1; open and close fire
 	// at the same boundary.
-	eng := CompileRGX(rgx.MustParse("x{()}a"))
+	eng := mustCompileRGX(t, rgx.MustParse("x{()}a"))
 	d := span.NewDocument("a")
 	if !eng.Eval(d, span.Extended{"x": span.Assigned(span.Sp(1, 1))}) {
 		t.Error("empty-span obligation must be satisfiable")
@@ -146,7 +146,7 @@ func TestNonEmpty(t *testing.T) {
 		{"(x{a})*", "aa", false},
 	}
 	for _, c := range cases {
-		eng := CompileRGX(rgx.MustParse(c.expr))
+		eng := mustCompileRGX(t, rgx.MustParse(c.expr))
 		d := span.NewDocument(c.doc)
 		if got := eng.NonEmpty(d); got != c.want {
 			t.Errorf("NonEmpty(%q, %q) = %v, want %v", c.expr, c.doc, got, c.want)
@@ -155,7 +155,7 @@ func TestNonEmpty(t *testing.T) {
 }
 
 func TestEnumerateOrderDeterministic(t *testing.T) {
-	eng := CompileRGX(rgx.MustParse("x{a}|y{a}|z{a}"))
+	eng := mustCompileRGX(t, rgx.MustParse("x{a}|y{a}|z{a}"))
 	d := span.NewDocument("a")
 	var first, second []string
 	eng.Enumerate(d, func(m span.Mapping) bool {
@@ -177,7 +177,7 @@ func TestEnumerateOrderDeterministic(t *testing.T) {
 }
 
 func TestEnumerateEarlyStop(t *testing.T) {
-	eng := CompileRGX(rgx.MustParse(".*x{a}.*"))
+	eng := mustCompileRGX(t, rgx.MustParse(".*x{a}.*"))
 	d := span.NewDocument("aaaaaaaa")
 	count := 0
 	eng.Enumerate(d, func(m span.Mapping) bool {
@@ -193,7 +193,7 @@ func TestEnumerateMatchesAllOnUnion(t *testing.T) {
 	// Enumerate and the reference automaton-run semantics agree.
 	for _, e := range corpusExprs {
 		n := rgx.MustParse(e)
-		eng := CompileRGX(n)
+		eng := mustCompileRGX(t, n)
 		a := va.FromRGX(n)
 		for _, text := range []string{"", "ab", "aaabbb"} {
 			d := span.NewDocument(text)
@@ -205,7 +205,7 @@ func TestEnumerateMatchesAllOnUnion(t *testing.T) {
 }
 
 func TestVarsAndAutomatonAccessors(t *testing.T) {
-	eng := CompileRGX(rgx.MustParse("x{a}y{b}"))
+	eng := mustCompileRGX(t, rgx.MustParse("x{a}y{b}"))
 	vars := eng.Vars()
 	if len(vars) != 2 || vars[0] != "x" || vars[1] != "y" {
 		t.Fatalf("Vars = %v", vars)
@@ -216,10 +216,10 @@ func TestVarsAndAutomatonAccessors(t *testing.T) {
 }
 
 func TestSequentialDetection(t *testing.T) {
-	if !CompileRGX(rgx.MustParse("x{a*}y{b*}")).Sequential() {
+	if !mustCompileRGX(t, rgx.MustParse("x{a*}y{b*}")).Sequential() {
 		t.Error("functional formula should use the sequential engine")
 	}
-	if CompileRGX(rgx.MustParse("(x{a})*")).Sequential() {
+	if mustCompileRGX(t, rgx.MustParse("(x{a})*")).Sequential() {
 		t.Error("star over variables cannot use the sequential engine")
 	}
 }
@@ -233,7 +233,7 @@ func TestEvalOnLargeSequentialDocument(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		text = append(text, []byte("s:ab,9\n")...)
 	}
-	eng := CompileRGX(rgx.MustParse(".*(s:x{[^,\\n]*},y{[^\\n]*}\\n).*"))
+	eng := mustCompileRGX(t, rgx.MustParse(".*(s:x{[^,\\n]*},y{[^\\n]*}\\n).*"))
 	if !eng.Sequential() {
 		t.Fatal("expected sequential engine")
 	}

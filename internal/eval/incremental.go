@@ -124,10 +124,10 @@ func incBlockSize(n int) int {
 // NewIncremental builds an incremental session over d, running one
 // full extraction to seed the caches. The second result is false when
 // the engine does not support incremental maintenance (only the
-// sequential compiled enumerator does); callers then fall back to full
+// sequential enumerator does); callers then fall back to full
 // re-extraction.
 func NewIncremental(e *Engine, d *span.Document) (*IncState, bool) {
-	if e == nil || !e.Compiled() || !e.sequential {
+	if e == nil || !e.sequential {
 		return nil, false
 	}
 	return newIncremental(e, d, incBlockSize(d.Len())), true
@@ -251,7 +251,7 @@ func (s *IncState) stepForward(f0, f1, d0, d1 program.Bits, r rune) {
 			s.tmp.Set(int(ed.To))
 		}
 	})
-	p.OpClosure(s.tmp, 0)
+	p.OpClosure(s.tmp, program.OpMask{})
 	d0.Clear()
 	d1.Clear()
 	if c := p.ClassOf(r); c >= 0 {

@@ -24,8 +24,8 @@ var incPatterns = []string{
 
 func incEngine(t *testing.T, expr string) *Engine {
 	t.Helper()
-	e := CompileRGX(rgx.MustParse(expr))
-	if !e.Compiled() || !e.Sequential() {
+	e := mustCompileRGX(t, rgx.MustParse(expr))
+	if !e.Sequential() {
 		t.Fatalf("pattern %q did not compile to a sequential program", expr)
 	}
 	return e
@@ -212,14 +212,14 @@ func TestIncrementalAppendReuse(t *testing.T) {
 	}
 }
 
-// TestIncrementalUnsupportedEngine asserts the capability gate: the
-// interpreted and non-sequential engines refuse an incremental session
-// instead of producing wrong answers.
+// TestIncrementalUnsupportedEngine asserts the capability gate:
+// non-sequential engines refuse an incremental session instead of
+// producing wrong answers.
 func TestIncrementalUnsupportedEngine(t *testing.T) {
 	e := incEngine(t, `.*(x{ab*}c).*`)
-	e.ForceInterpreted()
+	e.ForceFPT()
 	if _, ok := NewIncremental(e, span.NewDocument("abc")); ok {
-		t.Fatal("interpreted engine accepted an incremental session")
+		t.Fatal("non-sequential engine accepted an incremental session")
 	}
 	if _, ok := NewIncremental(nil, span.NewDocument("abc")); ok {
 		t.Fatal("nil engine accepted an incremental session")

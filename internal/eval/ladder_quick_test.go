@@ -14,32 +14,29 @@ import (
 // ladder: literal prefilters, stop-byte candidate jumps, the
 // boundary-emission memo, and the constrained-eval DFA must all be
 // pure accelerations — identical mapping sets, counts, decisions and
-// Eval verdicts against the bitset path and the interpreted oracle,
+// Eval verdicts against the bitset path and the va.Mappings reference,
 // on adversarial documents chosen to sit on the accelerators' edges
 // (literal at byte 0, literal straddling the jump window, empty
 // matches, one-entry memo budgets, permanently flushing DFA budgets).
 
-// ladderEngines builds the prefilter/memo knob matrix plus the two
-// reference paths for one automaton.
-func ladderEngines(a *va.VA) map[string]*Engine {
-	withAll := NewEngine(a)
-	nopref := NewEngine(a)
+// ladderEngines builds the prefilter/memo knob matrix plus the
+// bitset path for one automaton.
+func ladderEngines(t testing.TB, a *va.VA) map[string]*Engine {
+	withAll := mustEngine(t, a)
+	nopref := mustEngine(t, a)
 	nopref.ForceNoPrefilter()
-	nomemo := NewEngine(a)
+	nomemo := mustEngine(t, a)
 	nomemo.ForceNoBoundaryMemo()
-	tinymemo := NewEngine(a)
+	tinymemo := mustEngine(t, a)
 	tinymemo.SetBoundaryMemoBudget(1)
-	nodfa := NewEngine(a)
+	nodfa := mustEngine(t, a)
 	nodfa.ForceNoDFA()
-	interp := NewEngine(a)
-	interp.ForceInterpreted()
 	return map[string]*Engine{
 		"ladder":      withAll,
 		"noprefilter": nopref,
 		"nomemo":      nomemo,
 		"tinymemo":    tinymemo,
 		"nodfa":       nodfa,
-		"interpreted": interp,
 	}
 }
 
@@ -67,14 +64,14 @@ func prefilterCorpus() []struct{ name, doc string } {
 
 func TestDifferentialPrefilter(t *testing.T) {
 	a := va.FromRGX(rgx.MustParse(`.*ERROR x{[^\n]*}\n.*`))
-	engs := ladderEngines(a)
+	engs := ladderEngines(t, a)
 	if engs["ladder"].Prefilter() == nil {
 		t.Fatalf("expected a required-literal prefilter for the ERROR spanner")
 	}
 	for _, tc := range prefilterCorpus() {
 		d := span.NewDocument(tc.doc)
-		want := engs["interpreted"].All(d)
-		wantMatch := engs["interpreted"].NonEmpty(d)
+		want := a.Mappings(d)
+		wantMatch := want.Len() > 0
 		for name, eng := range engs {
 			if got := eng.NonEmpty(d); got != wantMatch {
 				t.Fatalf("%s/%s NonEmpty = %v, oracle %v", tc.name, name, got, wantMatch)
@@ -82,16 +79,16 @@ func TestDifferentialPrefilter(t *testing.T) {
 			if got := eng.All(d); !got.Equal(want) {
 				t.Fatalf("%s/%s mapping set: %d vs %d", tc.name, name, got.Len(), want.Len())
 			}
-			if got, wantN := eng.Count(d), engs["interpreted"].Count(d); got != wantN {
+			if got, wantN := eng.Count(d), want.Len(); got != wantN {
 				t.Fatalf("%s/%s Count = %d, oracle %d", tc.name, name, got, wantN)
 			}
 		}
 	}
-	st, ok := engs["ladder"].DFAStats()
-	if !ok || st.PrefilterChecks == 0 || st.PrefilterPrunes == 0 {
+	st := engs["ladder"].DFAStats()
+	if st.PrefilterChecks == 0 || st.PrefilterPrunes == 0 {
 		t.Fatalf("prefilter never checked/pruned: %+v", st)
 	}
-	if st2, _ := engs["noprefilter"].DFAStats(); st2.PrefilterChecks != 0 {
+	if st2 := engs["noprefilter"].DFAStats(); st2.PrefilterChecks != 0 {
 		t.Fatalf("ForceNoPrefilter engine still checked the prefilter: %+v", st2)
 	}
 }
@@ -105,7 +102,7 @@ func TestPrefilterEmptyMatchSpanner(t *testing.T) {
 		{`(ERROR x{[^\n]*}\n|)`, ""},
 		{`.*(ERROR |)x{a*}.*`, "no trigger here"},
 	} {
-		e := NewEngine(va.FromRGX(rgx.MustParse(tc.expr)))
+		e := mustEngine(t, va.FromRGX(rgx.MustParse(tc.expr)))
 		if pf := e.Prefilter(); pf != nil {
 			t.Fatalf("%q: literal %q wrongly marked required (an empty match avoids it)",
 				tc.expr, pf.Literals())
@@ -118,22 +115,23 @@ func TestPrefilterEmptyMatchSpanner(t *testing.T) {
 
 // TestDifferentialConstrainedEval drives pinned-span Eval — the
 // segmented constrained-DFA path — against the bitset loop and the
-// interpreted oracle, over exact pins, shifted (wrong) pins, partial
+// va.Mappings reference, over exact pins, shifted (wrong) pins, partial
 // pins, Bottom pins, and boundary-position pins.
 func TestDifferentialConstrainedEval(t *testing.T) {
 	for _, tc := range workloadCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			a := va.FromRGX(rgx.MustParse(tc.expr))
-			engs := ladderEngines(a)
+			engs := ladderEngines(t, a)
 			d := span.NewDocument(tc.doc)
 			n := d.Len()
+			ref := a.Mappings(d)
 
 			// Candidate constraints: every exact output pin (capped),
 			// perturbed pins, partial and Bottom pins, and boundary pins.
 			var mus []span.Extended
-			vars := engs["interpreted"].Vars()
+			vars := engs["nodfa"].Vars()
 			count := 0
-			engs["interpreted"].Enumerate(d, func(m span.Mapping) bool {
+			engs["nodfa"].Enumerate(d, func(m span.Mapping) bool {
 				mus = append(mus, span.FromMapping(m, vars))
 				for v, s := range m {
 					if s.End <= n {
@@ -161,15 +159,12 @@ func TestDifferentialConstrainedEval(t *testing.T) {
 			}
 
 			for i, mu := range mus {
-				want := engs["interpreted"].Eval(d, mu)
+				want := refEval(ref, mu)
 				for name, eng := range engs {
 					if got := eng.Eval(d, mu); got != want {
 						t.Fatalf("mu[%d]=%v: %s Eval = %v, oracle %v", i, mu, name, got, want)
 					}
 				}
-			}
-			if st, ok := engs["ladder"].DFAStats(); ok && len(mus) > 0 {
-				_ = st // segments may be zero on tiny docs; presence asserted below on the long doc
 			}
 		})
 	}
@@ -177,8 +172,8 @@ func TestDifferentialConstrainedEval(t *testing.T) {
 	// A long single-obligation document must actually take the
 	// segmented path (observable as constrained-segment sweeps).
 	a := va.FromRGX(rgx.MustParse(`a*x{b+}a*`))
-	eng := NewEngine(a)
-	ref := NewEngine(a)
+	eng := mustEngine(t, a)
+	ref := mustEngine(t, a)
 	ref.ForceNoDFA()
 	pad := strings.Repeat("a", 2000)
 	d := span.NewDocument(pad + "bb" + pad)
@@ -200,24 +195,22 @@ func TestDifferentialConstrainedEval(t *testing.T) {
 }
 
 // TestDifferentialBoundaryMemo checks the memoized enumeration and
-// counting walks against memo-off, bitset and interpreted paths, and
+// counting walks against memo-off, bitset and reference paths, and
 // that a one-entry budget (flushing on nearly every store) and a
 // permanently flushing DFA cache stay sound underneath the memo.
 func TestDifferentialBoundaryMemo(t *testing.T) {
 	for _, tc := range workloadCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			a := va.FromRGX(rgx.MustParse(tc.expr))
-			engs := ladderEngines(a)
-			tinyboth := NewEngine(a)
+			engs := ladderEngines(t, a)
+			tinyboth := mustEngine(t, a)
 			tinyboth.SetBoundaryMemoBudget(1)
-			if p := tinyboth.Program(); p != nil {
-				tinyboth.UseDFA(program.NewDFA(p, 2))
-			}
+			tinyboth.UseDFA(program.NewDFA(tinyboth.Program(), 2))
 			engs["tinyboth"] = tinyboth
 
 			d := span.NewDocument(tc.doc)
-			want := engs["interpreted"].All(d)
-			wantCount := engs["interpreted"].Count(d)
+			want := a.Mappings(d)
+			wantCount := want.Len()
 			for name, eng := range engs {
 				if got := eng.All(d); !got.Equal(want) {
 					t.Fatalf("%s mapping set: %d vs %d", name, got.Len(), want.Len())
@@ -248,10 +241,10 @@ func TestDifferentialBoundaryMemo(t *testing.T) {
 func TestBoundaryMemoAcrossDFAFlush(t *testing.T) {
 	tc := workloadCorpus()[0]
 	a := va.FromRGX(rgx.MustParse(tc.expr))
-	eng := NewEngine(a)
+	eng := mustEngine(t, a)
 	dfa := program.NewDFA(eng.Program(), 8)
 	eng.UseDFA(dfa)
-	ref := NewEngine(a)
+	ref := mustEngine(t, a)
 	ref.ForceNoDFA()
 
 	d := span.NewDocument(tc.doc)

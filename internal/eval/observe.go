@@ -46,22 +46,14 @@ func (e *Engine) EnumerateObserved(d *span.Document, o *obs.StageObserver, yield
 	// request path.
 	if e.sequential {
 		t0 := time.Now()
-		if e.Compiled() {
-			if e.prefilterRejects(d) {
-				stage(obs.StageCoReachSweep, time.Since(t0))
-				return
-			}
-			bwd := e.backwardReachProg(d)
-			t1 := time.Now()
-			stage(obs.StageCoReachSweep, t1.Sub(t0))
-			e.enumerateSequentialProgFrom(d, bwd, yield)
-			stage(obs.StageEnumerate, time.Since(t1))
+		if e.prefilterRejects(d) {
+			stage(obs.StageCoReachSweep, time.Since(t0))
 			return
 		}
-		bwd := e.backwardReach(d)
+		bwd := e.backwardReachProg(d)
 		t1 := time.Now()
 		stage(obs.StageCoReachSweep, t1.Sub(t0))
-		e.enumerateSequentialFrom(d, bwd, yield)
+		e.enumerateSequentialProgFrom(d, bwd, yield)
 		stage(obs.StageEnumerate, time.Since(t1))
 		return
 	}
@@ -73,28 +65,15 @@ func (e *Engine) EnumerateObserved(d *span.Document, o *obs.StageObserver, yield
 	if !nonEmpty {
 		return
 	}
-	var candidates map[span.Var][]span.Span
-	if e.Compiled() {
-		fwd := e.forwardReachProg(d)
-		t2 := time.Now()
-		stage(obs.StageForwardSweep, t2.Sub(t1))
-		bwd := e.backwardReachProg(d)
-		t3 := time.Now()
-		stage(obs.StageCoReachSweep, t3.Sub(t2))
-		candidates = e.candidateSpansProgFrom(d, fwd, bwd)
-		t1 = time.Now()
-		stage(obs.StageCandidateSweep, t1.Sub(t3))
-	} else {
-		fwd := e.forwardReach(d)
-		t2 := time.Now()
-		stage(obs.StageForwardSweep, t2.Sub(t1))
-		bwd := e.backwardReach(d)
-		t3 := time.Now()
-		stage(obs.StageCoReachSweep, t3.Sub(t2))
-		candidates = e.candidateSpansFrom(d, fwd, bwd)
-		t1 = time.Now()
-		stage(obs.StageCandidateSweep, t1.Sub(t3))
-	}
+	fwd := e.forwardReachProg(d)
+	t2 := time.Now()
+	stage(obs.StageForwardSweep, t2.Sub(t1))
+	bwd := e.backwardReachProg(d)
+	t3 := time.Now()
+	stage(obs.StageCoReachSweep, t3.Sub(t2))
+	candidates := e.candidateSpansProgFrom(d, fwd, bwd)
+	t1 = time.Now()
+	stage(obs.StageCandidateSweep, t1.Sub(t3))
 	e.enumerateFilteredFrom(d, candidates, yield)
 	stage(obs.StageEnumerate, time.Since(t1))
 }

@@ -42,13 +42,16 @@ func TestEnumerateObservedMatchesEnumerate(t *testing.T) {
 		{".*(s:x{[^,\n]*},y{[^\n]*}\n).*", "a,b\nc,d\n"}, // realistic row pattern
 	}
 	for _, c := range cases {
-		eng := CompileRGX(rgx.MustParse(c.expr))
+		eng := mustCompileRGX(t, rgx.MustParse(c.expr))
 		d := span.NewDocument(c.doc)
 
 		want := eng.All(d)
 		got, stages, delays := collectObserved(eng, d)
 		if !got.Equal(want) {
 			t.Errorf("%q on %q: observed %v, plain %v", c.expr, c.doc, got.Mappings(), want.Mappings())
+		}
+		if ref := eng.Automaton().Mappings(d); !got.Equal(ref) {
+			t.Errorf("%q on %q: observed %v, reference %v", c.expr, c.doc, got.Mappings(), ref.Mappings())
 		}
 		if want.Len() > 0 && delays != want.Len() {
 			t.Errorf("%q on %q: %d delay samples for %d mappings", c.expr, c.doc, delays, want.Len())
@@ -67,19 +70,11 @@ func TestEnumerateObservedMatchesEnumerate(t *testing.T) {
 				}
 			}
 		}
-
-		// Interpreted fallback takes the same observed path.
-		ieng := CompileRGX(rgx.MustParse(c.expr))
-		ieng.ForceInterpreted()
-		igot, _, _ := collectObserved(ieng, d)
-		if !igot.Equal(want) {
-			t.Errorf("%q on %q interpreted: observed %v, want %v", c.expr, c.doc, igot.Mappings(), want.Mappings())
-		}
 	}
 }
 
 func TestEnumerateObservedNilObserver(t *testing.T) {
-	eng := CompileRGX(rgx.MustParse("x{a*}"))
+	eng := mustCompileRGX(t, rgx.MustParse("x{a*}"))
 	d := span.NewDocument("aa")
 	want := eng.All(d)
 	for _, o := range []*obs.StageObserver{nil, {}} {
@@ -96,7 +91,7 @@ func TestEnumerateObservedNilObserver(t *testing.T) {
 
 func TestEnumerateObservedEmptyFiltered(t *testing.T) {
 	// Non-sequential, no match: the eval stage fires and the walk stops.
-	eng := CompileRGX(rgx.MustParse("(x{a})*b"))
+	eng := mustCompileRGX(t, rgx.MustParse("(x{a})*b"))
 	d := span.NewDocument("c")
 	_, stages, delays := collectObserved(eng, d)
 	if delays != 0 {
@@ -108,7 +103,7 @@ func TestEnumerateObservedEmptyFiltered(t *testing.T) {
 }
 
 func TestEnumerateObservedEarlyStop(t *testing.T) {
-	eng := CompileRGX(rgx.MustParse("x{a*}y{a*}"))
+	eng := mustCompileRGX(t, rgx.MustParse("x{a*}y{a*}"))
 	d := span.NewDocument("aaaa")
 	n := 0
 	eng.EnumerateObserved(d, &obs.StageObserver{Delay: func(time.Duration) {}}, func(span.Mapping) bool {

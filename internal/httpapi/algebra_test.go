@@ -13,11 +13,23 @@ import (
 	"spanners/internal/service"
 )
 
+// must returns an unwrapper for spanner-returning calls that fails
+// the test on error: must(t)(spanners.Join(a, b)).
+func must(t testing.TB) func(*spanners.Spanner, error) *spanners.Spanner {
+	return func(sp *spanners.Spanner, err error) *spanners.Spanner {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+}
+
 // localJoin composes the test spanners through the library algebra —
 // the oracle the served algebra must match byte for byte.
 func localJoin(t *testing.T, doc string) []service.Result {
 	t.Helper()
-	j := spanners.Join(spanners.MustCompile(".*y{...}.*"), spanners.MustCompile(".*z{...}.*"))
+	j := must(t)(spanners.Join(spanners.MustCompile(".*y{...}.*"), spanners.MustCompile(".*z{...}.*")))
 	d := spanners.NewDocument(doc)
 	out := []service.Result{}
 	for _, m := range j.ExtractAll(d) {
@@ -67,12 +79,6 @@ func TestAlgebraExtractEndToEnd(t *testing.T) {
 		t.Fatalf("LRU counters: hits %d→%d misses %d→%d, want hit growth only",
 			first.Stats.Spanners.Hits, second.Stats.Spanners.Hits,
 			first.Stats.Spanners.Misses, second.Stats.Spanners.Misses)
-	}
-
-	// The composition runs the compiled engine, not the interpreted
-	// fallback.
-	if first.Stats.Engine.InterpretedFallbacks != 0 {
-		t.Fatalf("engine stats = %+v, want no interpreted fallbacks", first.Stats.Engine)
 	}
 
 	// /metrics exposes the same counters under the expvar snapshot.

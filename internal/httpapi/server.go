@@ -29,6 +29,7 @@ import (
 	"spanners/internal/algebra"
 	"spanners/internal/docstore"
 	"spanners/internal/obs"
+	"spanners/internal/program"
 	"spanners/internal/registry"
 	"spanners/internal/rgx"
 	"spanners/internal/service"
@@ -397,8 +398,10 @@ func WriteError(w http.ResponseWriter, status int, code, message string) {
 // or version that does not exist — directly or as an algebra leaf —
 // is 404; malformed queries (RGX or algebra syntax, unbound projection
 // variables, bad splices) are the client's fault, 400; a difference
-// whose determinization blows the configured state budget is a
-// well-formed but unprocessable query, 422. Only storage-level
+// whose determinization blows the configured state budget, and a
+// spanner beyond the compiled-program budget (more than
+// program.MaxVars variables or oversized dispatch tables), are
+// well-formed but unprocessable queries, 422. Only storage-level
 // corruption maps to a 500.
 func errorCode(err error) (int, string) {
 	var parseErr *rgx.ParseError
@@ -434,6 +437,10 @@ func errorCode(err error) (int, string) {
 		// -difference-budget or simplifying the right operand are the
 		// remedies.
 		return http.StatusUnprocessableEntity, client.CodeDifferenceBudget
+	case errors.Is(err, program.ErrBudget):
+		// The spanner compiles to a program beyond the variable or
+		// dispatch-table budget; there is no other evaluation path.
+		return http.StatusUnprocessableEntity, client.CodeCompileBudget
 	default:
 		return http.StatusBadRequest, client.CodeBadRequest
 	}

@@ -418,11 +418,6 @@ func Decode(data []byte) (*Program, error) {
 			p.ROpEdges[p.ROpHead[to]+rfill[to]] = re
 			rfill[to]++
 		}
-		for _, e := range p.OpsFrom(q) {
-			if e.Open {
-				p.OpenedMask |= OpenBit(int(e.Var))
-			}
-		}
 	}
 	p.HasOps = NewBits(numStates)
 	p.RHasOps = NewBits(numStates)

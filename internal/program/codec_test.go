@@ -59,9 +59,6 @@ func TestCodecRoundTrip(t *testing.T) {
 			}
 
 			// Derived tables must be rebuilt exactly.
-			if q.OpenedMask != p.OpenedMask {
-				t.Errorf("OpenedMask %x -> %x", p.OpenedMask, q.OpenedMask)
-			}
 			for i := range p.rdelta {
 				if !bytes.Equal(bitsBytes(p.rdelta[i]), bitsBytes(q.rdelta[i])) {
 					t.Fatalf("rdelta[%d] diverges", i)

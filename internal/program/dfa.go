@@ -19,7 +19,7 @@ import (
 // Frontiers are interned into DFA states; each state carries one
 // lazily filled transition row per stepping kind:
 //
-//	StepForward  LetterStep then OpClosure(·, 0) — the permissive
+//	StepForward  LetterStep then OpClosure(·, OpMask{}) — the permissive
 //	             forward simulation of NonEmpty and forward reach;
 //	StepReverse  LetterStepBack then ROpClosure — co-reachability;
 //	StepRaw      LetterStep alone — the letter half of a step whose
@@ -52,7 +52,7 @@ type StepKind uint8
 
 const (
 	// StepForward composes LetterStep with the permissive forward
-	// boundary closure OpClosure(·, 0).
+	// boundary closure OpClosure(·, OpMask{}).
 	StepForward StepKind = iota
 	// StepReverse composes LetterStepBack with ROpClosure.
 	StepReverse
@@ -129,8 +129,8 @@ type DFAStats struct {
 	// artifact rather than discovered during execution.
 	PrewarmedStates uint64 `json:"prewarmed_states"`
 	// Blocked is the variable-operation mask this cache's forward
-	// closures exclude; zero on the shared permissive cache.
-	Blocked uint64 `json:"blocked,omitempty"`
+	// closures exclude; empty on the shared permissive cache.
+	Blocked OpMask `json:"blocked"`
 	// Prefilter counters: required-literal absence checks performed
 	// and the documents they rejected outright.
 	PrefilterChecks uint64 `json:"prefilter_checks"`
@@ -204,13 +204,13 @@ type DFA struct {
 	id     uint64
 	budget int
 	// blocked is the op mask the forward closure excludes. The shared
-	// cache uses 0 (permissive closure); the constrained family built
-	// by Program.DFAForMask uses the evaluator's blocked-variable
-	// mask, so forward steps through such a cache are exactly the
+	// cache uses the empty mask (permissive closure); the constrained
+	// family built by Program.DFAForMask uses the evaluator's
+	// blocked-variable mask, so forward steps through such a cache are exactly the
 	// obligation-free steps of the constrained sequential evaluator.
 	// Reverse rows of a constrained cache are meaningless — only the
 	// permissive cache serves co-reachability.
-	blocked uint64
+	blocked OpMask
 
 	mu     sync.RWMutex
 	states map[string]*DState
@@ -248,9 +248,9 @@ func (p *Program) DFA() *DFA {
 // NewDFA builds a DFA cache over p with the given interned-state
 // budget (values < 2 are raised to 2: the start and dead states are
 // permanently useful).
-func NewDFA(p *Program, budget int) *DFA { return newDFA(p, budget, 0) }
+func NewDFA(p *Program, budget int) *DFA { return newDFA(p, budget, OpMask{}) }
 
-func newDFA(p *Program, budget int, blocked uint64) *DFA {
+func newDFA(p *Program, budget int, blocked OpMask) *DFA {
 	if budget < 2 {
 		budget = 2
 	}
@@ -268,14 +268,14 @@ func newDFA(p *Program, budget int, blocked uint64) *DFA {
 }
 
 // DFAForMask returns the program's lazy-DFA cache whose forward
-// closures exclude the given blocked-variable mask: mask 0 is the
-// shared permissive cache, other masks resolve through a bounded
+// closures exclude the given blocked-variable mask: the empty mask is
+// the shared permissive cache, other masks resolve through a bounded
 // per-program family (one constrained evaluation pattern tends to
 // repeat across documents, so the family amortizes exactly like the
 // shared cache). Returns nil when the family is full — the caller
 // falls back to bitset stepping.
-func (p *Program) DFAForMask(blocked uint64) *DFA {
-	if blocked == 0 {
+func (p *Program) DFAForMask(blocked OpMask) *DFA {
+	if blocked.IsZero() {
 		return p.DFA()
 	}
 	p.constrMu.Lock()
@@ -287,7 +287,7 @@ func (p *Program) DFAForMask(blocked uint64) *DFA {
 		return nil
 	}
 	if p.constrained == nil {
-		p.constrained = make(map[uint64]*DFA)
+		p.constrained = make(map[OpMask]*DFA)
 	}
 	d := newDFA(p, DefaultDFABudget, blocked)
 	p.constrained[blocked] = d

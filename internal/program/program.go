@@ -9,21 +9,25 @@
 //     computed from the automaton's runeclass predicates, so a letter
 //     step classifies the rune once and then ORs dense per-state ×
 //     per-class dispatch bitsets, and
-//   - bit-packs variable open/close operations into uint64 masks
-//     (open x = bit v, close x = bit 32+v), laid out in CSR edge
-//     arrays, so boundary obligation sets become popcounts and mask
-//     tests.
+//   - bit-packs variable open/close operations into two-word OpMask
+//     values (open x = bit v of Open, close x = bit v of Close), laid
+//     out in CSR edge arrays, so boundary obligation sets become
+//     popcounts and mask tests.
 //
 // The program is immutable after compilation, safe for concurrent
 // use, and carries no per-document state: it is the artifact a
 // long-lived service can cache, share between the Eval / ModelCheck /
-// enumeration paths (Theorems 5.1 and 5.7 run on the same tables),
-// and eventually persist in a spanner registry.
+// enumeration paths (Theorems 5.1, 5.7 and 5.10 run on the same
+// tables), and persist in a spanner registry. Compile is the only way
+// an automaton reaches evaluation: one beyond MaxVars variables or the
+// dispatch-table budget is refused with ErrBudget.
 package program
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -34,28 +38,54 @@ import (
 )
 
 // MaxVars bounds the number of distinct variables a program can
-// bit-pack (open and close each take one bit of a uint64 mask).
-// Automata beyond the bound fall back to the interpreted engines.
-const MaxVars = 32
+// bit-pack: the open and the close of each variable take one bit of
+// an OpMask word each.
+const MaxVars = 64
 
 // maxDeltaWords bounds the dense dispatch tables (delta + rdelta, in
 // uint64 words) so a pathological automaton cannot allocate
-// unboundedly; beyond it compilation fails and callers fall back.
+// unboundedly.
 const maxDeltaWords = 1 << 22 // 32 MiB of uint64s
+
+// ErrBudget reports an automaton the compiler refuses: more than
+// MaxVars variables, or dispatch tables above the size budget. There
+// is no other evaluation path, so callers surface it as a typed
+// refusal.
+var ErrBudget = errors.New("program: automaton exceeds the compiled-program budget")
+
+// OpMask is a set of variable operations: bit v of Open is the open
+// of variable v, bit v of Close its close. It is comparable, so it
+// serves directly as a map key.
+type OpMask struct {
+	Open  uint64 `json:"open"`
+	Close uint64 `json:"close"`
+}
+
+// OpenBit returns the mask of the open operation of variable v.
+func OpenBit(v int) OpMask { return OpMask{Open: 1 << uint(v)} }
+
+// CloseBit returns the mask of the close operation of variable v.
+func CloseBit(v int) OpMask { return OpMask{Close: 1 << uint(v)} }
+
+// Or returns m ∪ o.
+func (m OpMask) Or(o OpMask) OpMask { return OpMask{m.Open | o.Open, m.Close | o.Close} }
+
+// Intersects reports whether m ∩ o ≠ ∅.
+func (m OpMask) Intersects(o OpMask) bool { return m.Open&o.Open != 0 || m.Close&o.Close != 0 }
+
+// IsZero reports whether m is empty.
+func (m OpMask) IsZero() bool { return m.Open == 0 && m.Close == 0 }
+
+// Count returns the number of operations in m.
+func (m OpMask) Count() int { return bits.OnesCount64(m.Open) + bits.OnesCount64(m.Close) }
 
 // OpEdge is one variable-operation edge of the compiled program.
 type OpEdge struct {
+	Mask OpMask // OpenBit(Var) or CloseBit(Var)
 	To   int32  // destination state (source state for reverse edges)
-	Mask uint64 // OpenBit(Var) or CloseBit(Var)
 	Var  uint8  // dense variable id
 	Open bool   // open (x⊢) vs close (⊣x)
 }
-
-// OpenBit returns the mask bit of the open operation of variable v.
-func OpenBit(v int) uint64 { return 1 << uint(v) }
-
-// CloseBit returns the mask bit of the close operation of variable v.
-func CloseBit(v int) uint64 { return 1 << (32 + uint(v)) }
 
 // Stats describes a compiled program, for metrics and benchmarks.
 type Stats struct {
@@ -77,11 +107,8 @@ type Program struct {
 	NumClasses int
 
 	// Vars assigns dense ids to every variable appearing on an op
-	// edge, sorted by name. OpenedMask marks the ids that have at
-	// least one open edge (the automaton's var set in the paper's
-	// sense; close-only variables can never fire).
-	Vars       []span.Var
-	OpenedMask uint64
+	// edge, sorted by name.
+	Vars []span.Var
 
 	// Final marks accepting states (ε-slide into a final state of the
 	// source automaton is folded in by va.Normalize).
@@ -131,7 +158,7 @@ type Program struct {
 	prefOnce    sync.Once
 	pref        *Prefilter
 	constrMu    sync.Mutex
-	constrained map[uint64]*DFA
+	constrained map[OpMask]*DFA
 
 	stats Stats
 }
@@ -196,10 +223,10 @@ func (p *Program) OpsFrom(q int) []OpEdge { return p.OpEdges[p.OpHead[q]:p.OpHea
 // OpsInto returns the op edges entering q (To holds the source).
 func (p *Program) OpsInto(q int) []OpEdge { return p.ROpEdges[p.ROpHead[q]:p.ROpHead[q+1]] }
 
-// Compile lowers a VA into a program. It fails (and the caller should
-// fall back to the interpreted engines) when the automaton uses more
-// than MaxVars variables or the dense dispatch tables would exceed the
-// size budget; semantics are never silently approximated.
+// Compile lowers a VA into a program. It fails with an error wrapping
+// ErrBudget when the automaton uses more than MaxVars variables or the
+// dense dispatch tables would exceed the size budget; semantics are
+// never silently approximated.
 func Compile(a *va.VA) (*Program, error) {
 	start := time.Now()
 	n := a.Normalize()
@@ -212,7 +239,7 @@ func Compile(a *va.VA) (*Program, error) {
 		}
 	}
 	if len(varSet) > MaxVars {
-		return nil, fmt.Errorf("program: %d variables exceed the %d-variable mask budget", len(varSet), MaxVars)
+		return nil, fmt.Errorf("%w: %d variables exceed the %d-variable mask budget", ErrBudget, len(varSet), MaxVars)
 	}
 	vars := make([]span.Var, 0, len(varSet))
 	for v := range varSet {
@@ -233,8 +260,8 @@ func Compile(a *va.VA) (*Program, error) {
 
 	words := (n.NumStates + 63) / 64
 	if total := 2 * n.NumStates * numClasses * words; total > maxDeltaWords {
-		return nil, fmt.Errorf("program: dispatch table of %d words exceeds budget (%d states × %d classes)",
-			total, n.NumStates, numClasses)
+		return nil, fmt.Errorf("%w: dispatch table of %d words (%d states × %d classes)",
+			ErrBudget, total, n.NumStates, numClasses)
 	}
 
 	p := &Program{
@@ -330,7 +357,6 @@ func Compile(a *va.VA) (*Program, error) {
 		mask := CloseBit(vi)
 		if open {
 			mask = OpenBit(vi)
-			p.OpenedMask |= OpenBit(vi)
 		}
 		e := OpEdge{To: int32(t.To), Mask: mask, Var: uint8(vi), Open: open}
 		p.OpEdges[p.OpHead[t.From]+fill[t.From]] = e
@@ -369,7 +395,7 @@ func Compile(a *va.VA) (*Program, error) {
 // unconstrained variables as ε" at a boundary with no obligations.
 // Only states with outgoing op edges enter the worklist, and the call
 // returns without allocating when the frontier has none.
-func (p *Program) OpClosure(cur Bits, blocked uint64) {
+func (p *Program) OpClosure(cur Bits, blocked OpMask) {
 	if !cur.Intersects(p.HasOps) {
 		return
 	}
@@ -383,7 +409,7 @@ func (p *Program) OpClosure(cur Bits, blocked uint64) {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range p.OpsFrom(int(q)) {
-			if e.Mask&blocked != 0 || cur.Has(int(e.To)) {
+			if e.Mask.Intersects(blocked) || cur.Has(int(e.To)) {
 				continue
 			}
 			cur.Set(int(e.To))

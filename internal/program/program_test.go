@@ -1,6 +1,7 @@
 package program
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -80,12 +81,9 @@ func TestProgramStructure(t *testing.T) {
 				want = OpenBit(int(e.Var))
 			}
 			if e.Mask != want {
-				t.Fatalf("edge mask %x, want %x", e.Mask, want)
+				t.Fatalf("edge mask %+v, want %+v", e.Mask, want)
 			}
 		}
-	}
-	if p.OpenedMask == 0 {
-		t.Fatal("no opened variables recorded")
 	}
 	for i, v := range p.Vars {
 		if id, ok := p.VarID(v); !ok || id != i {
@@ -132,7 +130,8 @@ func TestReverseEdgesMirror(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsTooManyVars: the fallback contract.
+// TestCompileRejectsTooManyVars: beyond MaxVars compilation is a
+// typed refusal.
 func TestCompileRejectsTooManyVars(t *testing.T) {
 	a := &va.VA{NumStates: 2, Start: 0, Finals: []int{1}}
 	cur := 0
@@ -145,8 +144,8 @@ func TestCompileRejectsTooManyVars(t *testing.T) {
 		cur = end
 	}
 	a.AddEps(cur, 1)
-	if _, err := Compile(a); err == nil {
-		t.Fatalf("expected compile error beyond %d variables", MaxVars)
+	if _, err := Compile(a); !errors.Is(err, ErrBudget) {
+		t.Fatalf("compile beyond %d variables: got %v, want ErrBudget", MaxVars, err)
 	}
 }
 
@@ -160,10 +159,10 @@ func TestOpClosureBlocked(t *testing.T) {
 	}
 	free := NewBits(p.NumStates)
 	free.Set(p.Start)
-	p.OpClosure(free, 0)
+	p.OpClosure(free, OpMask{})
 	blockedSet := NewBits(p.NumStates)
 	blockedSet.Set(p.Start)
-	p.OpClosure(blockedSet, OpenBit(id)|CloseBit(id))
+	p.OpClosure(blockedSet, OpenBit(id).Or(CloseBit(id)))
 	if free.Count() <= blockedSet.Count() {
 		t.Fatalf("blocking x did not shrink the closure: free=%d blocked=%d",
 			free.Count(), blockedSet.Count())

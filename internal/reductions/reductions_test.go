@@ -1,28 +1,69 @@
 package reductions
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"spanners/internal/eval"
+	"spanners/internal/program"
 	"spanners/internal/rules"
 	"spanners/internal/span"
+	"spanners/internal/va"
 )
+
+// mustEngine compiles a into an engine, failing the test on error.
+func mustEngine(t testing.TB, a *va.VA) *eval.Engine {
+	t.Helper()
+	e, err := eval.NewEngine(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
 
 func TestOneInThreeSATReductionAgrees(t *testing.T) {
 	// Theorem 5.2: ⟦γ_α⟧_ε ≠ ∅ iff α has a 1-in-3 assignment.
 	rng := rand.New(rand.NewSource(42))
 	empty := span.NewDocument("")
+	engineRuns := 0
 	for trial := 0; trial < 30; trial++ {
 		ins := RandomOneInThreeSAT(rng, 4+trial%3, 2+trial%4)
 		want := ins.BruteForce()
-		eng := eval.CompileRGX(ins.ToSpanRGX())
-		got := eng.NonEmpty(empty)
+		got, ran := nonEmpty(t, va.FromRGX(ins.ToSpanRGX()), empty)
 		if got != want {
 			t.Fatalf("trial %d: reduction = %v, brute force = %v\ninstance: %+v",
 				trial, got, want, ins)
 		}
+		if ran {
+			engineRuns++
+		}
 	}
+	if engineRuns == 0 {
+		t.Fatal("no instance fit the compiled-program budget; the engine went unchecked")
+	}
+	t.Logf("engine checked on %d of 30 instances", engineRuns)
+}
+
+// nonEmpty decides ⟦a⟧_d ≠ ∅ by the va.Mappings reference run
+// semantics and, when a fits the compiled-program budget, checks that
+// the engine agrees. The reductions' variable counts grow with the
+// instance, so larger instances are refused with program.ErrBudget;
+// ran reports whether the engine was checked.
+func nonEmpty(t *testing.T, a *va.VA, d *span.Document) (got, ran bool) {
+	t.Helper()
+	got = a.Mappings(d).Len() > 0
+	eng, err := eval.NewEngine(a)
+	if errors.Is(err, program.ErrBudget) {
+		return got, false
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := eng.NonEmpty(d); e != got {
+		t.Fatalf("engine NonEmpty = %v, reference %v", e, got)
+	}
+	return got, true
 }
 
 func TestOneInThreeSATKnownInstances(t *testing.T) {
@@ -36,8 +77,7 @@ func TestOneInThreeSATKnownInstances(t *testing.T) {
 	mixed := OneInThreeSAT{NumVars: 4, Clauses: [][3]int{
 		{0, 1, 2}, {0, 1, 3}, {2, 3, 0}, {2, 3, 1},
 	}}
-	eng := eval.CompileRGX(mixed.ToSpanRGX())
-	if eng.NonEmpty(span.NewDocument("")) != mixed.BruteForce() {
+	if got, _ := nonEmpty(t, va.FromRGX(mixed.ToSpanRGX()), span.NewDocument("")); got != mixed.BruteForce() {
 		t.Fatal("reduction disagrees with brute force on the mixed instance")
 	}
 }
@@ -56,7 +96,10 @@ func TestOneInThreeSATRuleReduction(t *testing.T) {
 			t.Fatalf("reduction rule must be simple: %s", r)
 		}
 		want := ins.BruteForce()
-		got := rules.NonEmpty(r, ins.RuleDocument())
+		got, err := rules.NonEmpty(r, ins.RuleDocument())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got != want {
 			t.Fatalf("trial %d: rule reduction = %v, brute force = %v\nrule: %s",
 				trial, got, want, r)
@@ -75,7 +118,7 @@ func TestHamiltonianReduction(t *testing.T) {
 		if err := a.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		eng := eval.NewEngine(a)
+		eng := mustEngine(t, a)
 		got := eng.NonEmpty(empty)
 		if got != want {
 			t.Fatalf("trial %d (n=%d): reduction = %v, brute force = %v\nedges: %v",
@@ -103,7 +146,7 @@ func TestHamiltonianLineAndAntiLine(t *testing.T) {
 	if !line.BruteForceHamiltonianPath() {
 		t.Fatal("line must have a Hamiltonian path")
 	}
-	eng := eval.NewEngine(line.ToRelationalVA())
+	eng := mustEngine(t, line.ToRelationalVA())
 	if !eng.NonEmpty(EmptyDocument()) {
 		t.Fatal("reduction must accept the line")
 	}
@@ -111,7 +154,7 @@ func TestHamiltonianLineAndAntiLine(t *testing.T) {
 	if star.BruteForceHamiltonianPath() {
 		t.Fatal("out-star has no Hamiltonian path")
 	}
-	eng2 := eval.NewEngine(star.ToRelationalVA())
+	eng2 := mustEngine(t, star.ToRelationalVA())
 	if eng2.NonEmpty(EmptyDocument()) {
 		t.Fatal("reduction must reject the out-star")
 	}

@@ -18,9 +18,15 @@ type Evaluator struct {
 	conjEngine []*eval.Engine
 }
 
-// NewEvaluator compiles the rule's spanners.
-func NewEvaluator(r *Rule) *Evaluator {
-	ev := &Evaluator{rule: r, docEngine: eval.CompileRGX(r.Doc)}
+// NewEvaluator compiles the rule's spanners. It fails with an error
+// wrapping program.ErrBudget when one of them is beyond the
+// compiled-program budgets.
+func NewEvaluator(r *Rule) (*Evaluator, error) {
+	doc, err := eval.CompileRGX(r.Doc)
+	if err != nil {
+		return nil, err
+	}
+	ev := &Evaluator{rule: r, docEngine: doc}
 	for _, c := range r.Conjuncts {
 		// ⟦x.R⟧_d = { µ | ∃s. (s, µ) ∈ [x{R}]_d }: wrap the conjunct
 		// as Σ*·x{R}·Σ* so the whole-document semantics of the engine
@@ -30,9 +36,13 @@ func NewEvaluator(r *Rule) *Evaluator {
 			rgx.Capture(c.Var, c.Expr),
 			rgx.Kleene(rgx.AnyChar()),
 		)
-		ev.conjEngine = append(ev.conjEngine, eval.CompileRGX(wrapped))
+		e, err := eval.CompileRGX(wrapped)
+		if err != nil {
+			return nil, err
+		}
+		ev.conjEngine = append(ev.conjEngine, e)
 	}
-	return ev
+	return ev, nil
 }
 
 // Eval computes ⟦ϕ⟧_d following the satisfaction definition of
@@ -92,20 +102,28 @@ func (ev *Evaluator) Eval(d *span.Document) *span.Set {
 }
 
 // Eval is a convenience one-shot evaluation of a rule.
-func Eval(r *Rule, d *span.Document) *span.Set {
-	return NewEvaluator(r).Eval(d)
+func Eval(r *Rule, d *span.Document) (*span.Set, error) {
+	ev, err := NewEvaluator(r)
+	if err != nil {
+		return nil, err
+	}
+	return ev.Eval(d), nil
 }
 
 // EvalUnion evaluates a union of rules: the union of the members'
 // outputs (Section 4.3).
-func EvalUnion(u Union, d *span.Document) *span.Set {
+func EvalUnion(u Union, d *span.Document) (*span.Set, error) {
 	out := span.NewSet()
 	for _, r := range u {
-		for _, m := range Eval(r, d).Mappings() {
+		set, err := Eval(r, d)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range set.Mappings() {
 			out.Add(m)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // NonEmpty reports ⟦ϕ⟧_d ≠ ∅. For sequential tree-like rules this is
@@ -113,13 +131,42 @@ func EvalUnion(u Union, d *span.Document) *span.Set {
 // (Lemma B.1) and running the sequential Eval engine (Theorem 5.9);
 // other rules fall back to the exponential evaluator, matching the
 // NP-hardness of Theorem 5.8.
-func NonEmpty(r *Rule, d *span.Document) bool {
-	if r.IsSequential() && IsTreeLike(r) {
-		if n, err := TreeToRGX(r); err == nil {
-			return eval.CompileRGX(n).NonEmpty(d)
-		}
+func NonEmpty(r *Rule, d *span.Document) (bool, error) {
+	if ok, decided := treeNonEmpty(r, d); decided {
+		return ok, nil
 	}
-	return Eval(r, d).Len() > 0
+	set, err := Eval(r, d)
+	if err != nil {
+		return false, err
+	}
+	return set.Len() > 0, nil
+}
+
+// NonEmpty is the package-level NonEmpty on the evaluator's rule,
+// reusing its compiled spanners for the fallback.
+func (ev *Evaluator) NonEmpty(d *span.Document) bool {
+	if ok, decided := treeNonEmpty(ev.rule, d); decided {
+		return ok
+	}
+	return ev.Eval(d).Len() > 0
+}
+
+// treeNonEmpty is the polynomial path of NonEmpty; decided is false
+// when the rule is not sequential tree-like or its RGX is beyond the
+// compiled-program budget.
+func treeNonEmpty(r *Rule, d *span.Document) (ok, decided bool) {
+	if !r.IsSequential() || !IsTreeLike(r) {
+		return false, false
+	}
+	n, err := TreeToRGX(r)
+	if err != nil {
+		return false, false
+	}
+	e, err := eval.CompileRGX(n)
+	if err != nil {
+		return false, false
+	}
+	return e.NonEmpty(d), true
 }
 
 // sortedVars returns the rule's conjunct variables in sorted order,

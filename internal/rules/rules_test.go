@@ -97,13 +97,13 @@ func TestEvalNondeterministicChoice(t *testing.T) {
 	// The Section 3.3 example: (x|y) ∧ x.(ab*) ∧ y.(ba*). On "abb"
 	// only the x-branch satisfies its constraint; y stays unassigned.
 	r := MustParse("(<x>|<y>) && x.(ab*) && y.(ba*)")
-	got := Eval(r, doc("abb"))
+	got := mustEval(t, r, doc("abb"))
 	want := span.Mapping{"x": span.Sp(1, 4)}
 	if got.Len() != 1 || !got.Contains(want) {
 		t.Fatalf("got %v, want only %v", got.Mappings(), want)
 	}
 	// On "baa" the roles flip.
-	got = Eval(r, doc("baa"))
+	got = mustEval(t, r, doc("baa"))
 	want = span.Mapping{"y": span.Sp(1, 4)}
 	if got.Len() != 1 || !got.Contains(want) {
 		t.Fatalf("got %v, want only %v", got.Mappings(), want)
@@ -113,7 +113,7 @@ func TestEvalNondeterministicChoice(t *testing.T) {
 func TestEvalUninstantiatedConjunctIsVacuous(t *testing.T) {
 	// y never instantiated: its impossible constraint never fires.
 	r := MustParse("<x> && x.(a*) && y.(ab)")
-	got := Eval(r, doc("aa"))
+	got := mustEval(t, r, doc("aa"))
 	if got.Len() != 1 || !got.Contains(span.Mapping{"x": span.Sp(1, 3)}) {
 		t.Fatalf("got %v", got.Mappings())
 	}
@@ -123,7 +123,7 @@ func TestEvalNonHierarchicalOverlap(t *testing.T) {
 	// Theorem 4.6: x ∧ x.(Σ*yΣ*) ∧ x.(Σ*zΣ*) can overlap y and z
 	// non-hierarchically — beyond any RGX.
 	r := MustParse("<x> && x.(.*<y>.*) && x.(.*<z>.*)")
-	got := Eval(r, doc("aaaa"))
+	got := mustEval(t, r, doc("aaaa"))
 	overlap := span.Mapping{"x": span.Sp(1, 5), "y": span.Sp(1, 3), "z": span.Sp(2, 4)}
 	if !got.Contains(overlap) {
 		t.Fatalf("missing overlapping mapping %v", overlap)
@@ -136,7 +136,7 @@ func TestEvalNonHierarchicalOverlap(t *testing.T) {
 func TestEvalEqualityThroughConjunct(t *testing.T) {
 	// x.(y) forces span(y) = span(x) exactly.
 	r := MustParse("a<x>b && x.(<y>)")
-	got := Eval(r, doc("acb"))
+	got := mustEval(t, r, doc("acb"))
 	want := span.Mapping{"x": span.Sp(2, 3), "y": span.Sp(2, 3)}
 	if got.Len() != 1 || !got.Contains(want) {
 		t.Fatalf("got %v", got.Mappings())
@@ -147,7 +147,7 @@ func TestEvalCyclicUnsat(t *testing.T) {
 	// x ∧ x.y ∧ y.ax: forces |x| = |y| and |y| = |x|+1.
 	r := MustParse("<x> && x.(<y>) && y.(a<x>)")
 	for _, text := range []string{"", "a", "aa", "aaa"} {
-		if got := Eval(r, doc(text)); got.Len() != 0 {
+		if got := mustEval(t, r, doc(text)); got.Len() != 0 {
 			t.Fatalf("cyclic rule satisfied on %q: %v", text, got.Mappings())
 		}
 	}
@@ -158,11 +158,11 @@ func TestEvalUnionSemantics(t *testing.T) {
 		MustParse("<x> && x.(a*)"),
 		MustParse("<y> && y.(b*)"),
 	}
-	got := EvalUnion(u, doc("aa"))
+	got := mustEvalUnion(t, u, doc("aa"))
 	if !got.Contains(span.Mapping{"x": span.Sp(1, 3)}) {
 		t.Errorf("missing x mapping: %v", got.Mappings())
 	}
-	got = EvalUnion(u, doc("bb"))
+	got = mustEvalUnion(t, u, doc("bb"))
 	if !got.Contains(span.Mapping{"y": span.Sp(1, 3)}) {
 		t.Errorf("missing y mapping: %v", got.Mappings())
 	}
@@ -176,7 +176,7 @@ func TestNormalizeAddsMissingConjuncts(t *testing.T) {
 	}
 	// Semantics unchanged.
 	for _, text := range []string{"", "a", "ab"} {
-		if !Eval(r, doc(text)).Equal(Eval(n, doc(text))) {
+		if !mustEval(t, r, doc(text)).Equal(mustEval(t, n, doc(text))) {
 			t.Errorf("Normalize changed semantics on %q", text)
 		}
 	}
@@ -189,7 +189,7 @@ func TestRemoveUnreachable(t *testing.T) {
 		t.Fatal("unreachable conjunct must be dropped")
 	}
 	for _, text := range []string{"", "a", "ab"} {
-		if !Eval(r, doc(text)).Equal(Eval(rm, doc(text))) {
+		if !mustEval(t, r, doc(text)).Equal(mustEval(t, rm, doc(text))) {
 			t.Errorf("RemoveUnreachable changed semantics on %q", text)
 		}
 	}
@@ -290,7 +290,7 @@ func TestUnsatRuleIsUnsat(t *testing.T) {
 		t.Fatal("UnsatRule must be functional dag-like")
 	}
 	for _, text := range []string{"", "a", "aa", "ab", "aaa"} {
-		if got := Eval(r, doc(text)); got.Len() != 0 {
+		if got := mustEval(t, r, doc(text)); got.Len() != 0 {
 			t.Fatalf("UnsatRule satisfied on %q: %v", text, got.Mappings())
 		}
 	}
@@ -326,8 +326,8 @@ func TestEliminateCyclesPaperExample(t *testing.T) {
 		t.Fatalf("result not functional:\n%s", dag)
 	}
 	for _, text := range []string{"", "a", "ab", "abc"} {
-		want := Eval(r, doc(text))
-		got := stripAux(Eval(dag, doc(text)))
+		want := mustEval(t, r, doc(text))
+		got := stripAux(mustEval(t, dag, doc(text)))
 		if !got.Equal(want) {
 			t.Errorf("on %q: got %v, want %v\nrule: %s", text, got.Mappings(), want.Mappings(), dag)
 		}
@@ -370,8 +370,8 @@ func TestEliminateCyclesGreenTwoCycle(t *testing.T) {
 		t.Fatalf("not dag-like:\n%s", dag)
 	}
 	for _, text := range []string{"", "a", "ab", "aab"} {
-		want := Eval(r2, doc(text))
-		got := stripAux(Eval(dag, doc(text)))
+		want := mustEval(t, r2, doc(text))
+		got := stripAux(mustEval(t, dag, doc(text)))
 		if !got.Equal(want) {
 			t.Errorf("on %q: got %v, want %v\nrule: %s", text, got.Mappings(), want.Mappings(), dag)
 		}
@@ -385,7 +385,7 @@ func TestEliminateCyclesAcyclicPassThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, text := range []string{"", "ab", "abb"} {
-		if !Eval(r, doc(text)).Equal(Eval(dag, doc(text))) {
+		if !mustEval(t, r, doc(text)).Equal(mustEval(t, dag, doc(text))) {
 			t.Errorf("acyclic input changed on %q", text)
 		}
 	}
@@ -405,8 +405,8 @@ func TestToFunctionalUnion(t *testing.T) {
 		}
 	}
 	for _, text := range []string{"a", "b", "c", "d", ""} {
-		want := Eval(r, doc(text))
-		got := EvalUnion(u, doc(text))
+		want := mustEval(t, r, doc(text))
+		got := mustEvalUnion(t, u, doc(text))
 		if !got.Equal(want) {
 			t.Errorf("on %q: got %v, want %v", text, got.Mappings(), want.Mappings())
 		}
@@ -425,8 +425,8 @@ func TestToDagUnionEliminatesCycles(t *testing.T) {
 		}
 	}
 	for _, text := range []string{"", "a", "ab"} {
-		want := Eval(r, doc(text))
-		got := stripAux(EvalUnion(u, doc(text)))
+		want := mustEval(t, r, doc(text))
+		got := stripAux(mustEvalUnion(t, u, doc(text)))
 		if !got.Equal(want) {
 			t.Errorf("on %q: got %v, want %v", text, got.Mappings(), want.Mappings())
 		}
@@ -440,8 +440,8 @@ func TestTreeToRGXAndBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, text := range []string{"ab", "acbd", "acbe", "abe", "acccbd"} {
-		want := Eval(r, doc(text))
-		got := rgxEval(n, text)
+		want := mustEval(t, r, doc(text))
+		got := rgxEval(t, n, text)
 		if !got.Equal(want) {
 			t.Errorf("on %q: rule %v vs rgx %v", text, want.Mappings(), got.Mappings())
 		}
@@ -458,8 +458,8 @@ func TestTreeToRGXAndBack(t *testing.T) {
 		}
 	}
 	for _, text := range []string{"ab", "acbd", "acbe"} {
-		want := Eval(r, doc(text))
-		got := EvalUnion(u, doc(text))
+		want := mustEval(t, r, doc(text))
+		got := mustEvalUnion(t, u, doc(text))
 		if !got.Equal(want) {
 			t.Errorf("back conversion differs on %q", text)
 		}
@@ -493,16 +493,16 @@ func TestDagToTreeUnionPaperExample(t *testing.T) {
 		}
 	}
 	for _, text := range []string{"", "a", "aa", "ab", "ba", "aaa", "aba"} {
-		want := Eval(r, doc(text))
-		got := stripAux(EvalUnion(u, doc(text)))
+		want := mustEval(t, r, doc(text))
+		got := stripAux(mustEvalUnion(t, u, doc(text)))
 		if !got.Equal(want) {
 			t.Errorf("on %q: got %v, want %v\nunion:\n%s", text, got.Mappings(), want.Mappings(), u)
 		}
 	}
 	// Sanity: the expected witness mapping really is there.
 	witness := span.Mapping{"x": span.Sp(1, 2), "y": span.Sp(2, 3), "z": span.Sp(2, 2)}
-	if !Eval(r, doc("aa")).Contains(witness) {
-		t.Errorf("original rule lost its witness: %v", Eval(r, doc("aa")).Mappings())
+	if !mustEval(t, r, doc("aa")).Contains(witness) {
+		t.Errorf("original rule lost its witness: %v", mustEval(t, r, doc("aa")).Mappings())
 	}
 }
 
@@ -545,11 +545,11 @@ func TestNonEmptyTractablePath(t *testing.T) {
 	if !r.IsSequential() || !IsTreeLike(r) {
 		t.Fatal("test rule should be sequential tree-like")
 	}
-	if !NonEmpty(r, doc("aabbcc")) {
-		t.Error("expected non-empty")
+	if ok, err := NonEmpty(r, doc("aabbcc")); err != nil || !ok {
+		t.Errorf("expected non-empty, got %v, %v", ok, err)
 	}
-	if NonEmpty(r, doc("ca")) {
-		t.Error("expected empty")
+	if ok, err := NonEmpty(r, doc("ca")); err != nil || ok {
+		t.Errorf("expected empty, got %v, %v", ok, err)
 	}
 }
 

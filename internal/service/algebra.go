@@ -176,9 +176,6 @@ func (s *Service) RegisterAlgebra(name, expr string) (registry.Manifest, bool, e
 		return registry.Manifest{}, false, err
 	}
 	s.recordPlan(plan)
-	if !plan.Spanner.Compiled() {
-		return registry.Manifest{}, false, fmt.Errorf("%w: %s", algebra.ErrNotCompiled, plan.Pinned)
-	}
 	man, created, err := s.reg.RegisterCompiled(name, plan.Spanner.WithAlgebraSource(plan.Pinned))
 	if err != nil {
 		return registry.Manifest{}, false, err

@@ -13,6 +13,18 @@ import (
 	"spanners/internal/registry"
 )
 
+// must returns an unwrapper for spanner-returning calls that fails
+// the test on error: must(t)(spanners.Join(a, b)).
+func must(t testing.TB) func(*spanners.Spanner, error) *spanners.Spanner {
+	return func(sp *spanners.Spanner, err error) *spanners.Spanner {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+}
+
 // encodeAll renders every mapping of sp on doc through the service
 // wire encoding, so tests compare byte-identical results.
 func encodeAll(sp *spanners.Spanner, doc string) string {
@@ -43,7 +55,7 @@ func TestAlgebraQueryMatchesLocalComposition(t *testing.T) {
 	}
 
 	doc := "abcde"
-	local := spanners.Join(spanners.MustCompile(".*y{...}.*"), spanners.MustCompile(".*z{...}.*"))
+	local := must(t)(spanners.Join(spanners.MustCompile(".*y{...}.*"), spanners.MustCompile(".*z{...}.*")))
 	want := encodeAll(local, doc)
 
 	ctx := context.Background()
@@ -59,8 +71,8 @@ func TestAlgebraQueryMatchesLocalComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sp.Compiled() {
-		t.Fatal("composed algebra spanner runs the interpreted fallback, want compiled program")
+	if sp.ProgramFingerprint() == 0 {
+		t.Fatal("composed algebra spanner has no compiled program")
 	}
 
 	st := svc.Stats()
@@ -91,8 +103,8 @@ func TestAlgebraProjectAndUnionThroughService(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := "abcde"
-	local := spanners.Project(
-		spanners.Union(spanners.MustCompile("x{ab}.*"), spanners.MustCompile(".*w{de}")), "x")
+	local := must(t)(spanners.Project(
+		must(t)(spanners.Union(spanners.MustCompile("x{ab}.*"), spanners.MustCompile(".*w{de}"))), "x"))
 	res, err := svc.Extract(context.Background(), Query{Algebra: "project(union(ab, de), x)"}, doc)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +219,7 @@ func TestRegisterAlgebraPersistsAcrossRestart(t *testing.T) {
 	}
 
 	doc := "abcde"
-	local := spanners.Join(spanners.MustCompile(".*y{...}.*"), spanners.MustCompile(".*z{...}.*"))
+	local := must(t)(spanners.Join(spanners.MustCompile(".*y{...}.*"), spanners.MustCompile(".*z{...}.*")))
 	want := encodeAll(local, doc)
 
 	// Same process: the name serves immediately.
@@ -244,7 +256,7 @@ func TestRegisterAlgebraPersistsAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := encodeResults(res), encodeAll(spanners.Project(local, "y"), doc); got != want {
+	if got, want := encodeResults(res), encodeAll(must(t)(spanners.Project(local, "y")), doc); got != want {
 		t.Fatalf("project(pair, y) = %s, want %s", got, want)
 	}
 }
@@ -276,7 +288,7 @@ func TestAlgebraArtifactCorruptionFallsBackToReplan(t *testing.T) {
 
 	svc2 := newRegistryService(t, dir)
 	doc := "abcde"
-	local := spanners.Join(spanners.MustCompile(".*y{...}.*"), spanners.MustCompile(".*z{...}.*"))
+	local := must(t)(spanners.Join(spanners.MustCompile(".*y{...}.*"), spanners.MustCompile(".*z{...}.*")))
 	res, err := svc2.Extract(context.Background(), Query{Spanner: "pair"}, doc)
 	if err != nil {
 		t.Fatal(err)

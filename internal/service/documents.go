@@ -102,16 +102,13 @@ func (s *Service) ExtractDocument(ctx context.Context, q Query, id string) ([]Re
 
 // sessionFor finds or creates the incremental session for the compiled
 // query on doc (fresh reports a newly seeded session), or returns nil
-// when the query cannot be served incrementally (rules, interpreted or
+// when the query cannot be served incrementally (rules or
 // non-sequential spanners).
 func (s *Service) sessionFor(c *Compiled, doc docstore.Doc) (sess *incSession, fresh bool) {
 	if c.sp == nil {
 		return nil, false
 	}
 	fp := c.sp.ProgramFingerprint()
-	if fp == 0 {
-		return nil, false
-	}
 	if v, ok := s.docs.Attachment(doc.ID, fp); ok {
 		if sess, ok := v.(*incSession); ok {
 			return sess, false

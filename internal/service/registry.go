@@ -120,11 +120,7 @@ func (s *Service) SaveDFAs() (int, error) {
 		if err != nil {
 			continue
 		}
-		data, err := sp.DFAArtifact()
-		if err != nil {
-			continue // interpreted fallback: nothing to persist
-		}
-		if err := s.reg.SaveDFA(name, version, data); err != nil {
+		if err := s.reg.SaveDFA(name, version, sp.DFAArtifact()); err != nil {
 			errs = append(errs, fmt.Errorf("save DFA sidecar %s: %w", ref, err))
 			continue
 		}

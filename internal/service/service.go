@@ -143,11 +143,10 @@ type Service struct {
 	// Engine-selection and compile-cost counters, incremented once per
 	// spanner compilation (cache misses only, so the counters measure
 	// the artifacts the cache holds rather than request traffic).
-	seqSpanners     atomic.Uint64
-	fptSpanners     atomic.Uint64
-	compiledProgs   atomic.Uint64
-	interpFallbacks atomic.Uint64
-	compileNanos    atomic.Int64
+	seqSpanners   atomic.Uint64
+	fptSpanners   atomic.Uint64
+	compiledProgs atomic.Uint64
+	compileNanos  atomic.Int64
 
 	// obs is the instrumentation hub (tracer, stage/delay histograms,
 	// Prometheus registry); nil when Config.DisableObservability.
@@ -189,9 +188,6 @@ const maxTrackedDFAs = 1024
 // collected).
 func (s *Service) trackDFA(sp *spanners.Spanner) {
 	st := sp.DFAStats()
-	if !st.Enabled {
-		return
-	}
 	s.dfaMu.Lock()
 	if prev, ok := s.dfaSpanners[st.CacheID]; (!ok || prev.Value() == nil) && len(s.dfaSpanners) < maxTrackedDFAs {
 		s.dfaSpanners[st.CacheID] = weak.Make(sp)
@@ -292,14 +288,13 @@ func (s *Service) dfaStats() DFAStats {
 // EngineStats summarizes engine selection and compile cost across the
 // spanners the service has compiled: how many run the sequential
 // PTIME engine (Theorem 5.7) vs the FPT fallback (Theorem 5.10), how
-// many execute a compiled program vs the interpreted fallback, and
-// the cumulative compilation time the cache amortizes.
+// many compiled programs they execute, and the cumulative compilation
+// time the cache amortizes.
 type EngineStats struct {
-	SequentialSpanners   uint64 `json:"sequential_spanners"`
-	FPTSpanners          uint64 `json:"fpt_spanners"`
-	CompiledPrograms     uint64 `json:"compiled_programs"`
-	InterpretedFallbacks uint64 `json:"interpreted_fallbacks"`
-	CompileNanos         int64  `json:"compile_ns_total"`
+	SequentialSpanners uint64 `json:"sequential_spanners"`
+	FPTSpanners        uint64 `json:"fpt_spanners"`
+	CompiledPrograms   uint64 `json:"compiled_programs"`
+	CompileNanos       int64  `json:"compile_ns_total"`
 }
 
 // RegistryStats summarizes the persistent-registry integration: how
@@ -341,11 +336,10 @@ func (s *Service) Stats() Stats {
 		Rules:    s.rules.stats(),
 		DFA:      s.dfaStats(),
 		Engine: EngineStats{
-			SequentialSpanners:   s.seqSpanners.Load(),
-			FPTSpanners:          s.fptSpanners.Load(),
-			CompiledPrograms:     s.compiledProgs.Load(),
-			InterpretedFallbacks: s.interpFallbacks.Load(),
-			CompileNanos:         s.compileNanos.Load(),
+			SequentialSpanners: s.seqSpanners.Load(),
+			FPTSpanners:        s.fptSpanners.Load(),
+			CompiledPrograms:   s.compiledProgs.Load(),
+			CompileNanos:       s.compileNanos.Load(),
 		},
 		Registry: RegistryStats{
 			Enabled:         s.reg != nil,
@@ -408,11 +402,7 @@ func (s *Service) recordEngine(sp *spanners.Spanner) {
 	} else {
 		s.fptSpanners.Add(1)
 	}
-	if sp.Compiled() {
-		s.compiledProgs.Add(1)
-	} else {
-		s.interpFallbacks.Add(1)
-	}
+	s.compiledProgs.Add(1)
 }
 
 // Rule returns the compiled extraction rule for input, compiling on a

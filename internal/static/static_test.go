@@ -69,7 +69,7 @@ func TestWitnessDocument(t *testing.T) {
 		if !ok {
 			t.Fatalf("%q should be satisfiable", expr)
 		}
-		if eng := eval.CompileRGX(n); !eng.NonEmpty(d) {
+		if eng, err := eval.CompileRGX(n); err != nil || !eng.NonEmpty(d) {
 			t.Errorf("witness %q does not satisfy %q", d.Text(), expr)
 		}
 	}

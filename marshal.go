@@ -49,18 +49,13 @@ const (
 // with its source expression. The encoding is deterministic — the
 // same spanner always marshals to the same bytes, and compiling the
 // same expression yields the same artifact — so artifacts can be
-// content-addressed. Spanners running the interpreted fallback
-// (Compiled() == false) have no program to serialize and return an
-// error.
+// content-addressed. The only error is a source expression beyond the
+// artifact's size limit.
 func (s *Spanner) MarshalBinary() ([]byte, error) {
-	p := s.engine.Program()
-	if p == nil {
-		return nil, fmt.Errorf("spanners: %q runs the interpreted fallback and cannot be serialized", s.source)
-	}
 	if len(s.source) > maxSourceBytes {
 		return nil, fmt.Errorf("spanners: source expression of %d bytes exceeds the artifact limit", len(s.source))
 	}
-	prog := p.Encode()
+	prog := s.engine.Program().Encode()
 	buf := make([]byte, 0, spannerHeaderLen+len(s.source)+len(prog)+spannerTrailerLen)
 	buf = append(buf, spannerMagic[:]...)
 	buf = binary.LittleEndian.AppendUint16(buf, spannerArtifactVersion)
@@ -145,15 +140,8 @@ func LoadCompiledSpanner(data []byte) (*Spanner, error) {
 // program's fingerprint). Only the determinized state space is
 // persisted; transitions are recomputed — and thereby verified — when
 // the artifact is loaded, so a sidecar can warm a cache but never
-// corrupt one. Spanners running the interpreted fallback have no
-// cache and return an error.
-func (s *Spanner) DFAArtifact() ([]byte, error) {
-	d := s.engine.DFA()
-	if d == nil {
-		return nil, fmt.Errorf("spanners: %q runs the interpreted fallback and has no DFA cache", s.source)
-	}
-	return d.Encode(), nil
-}
+// corrupt one.
+func (s *Spanner) DFAArtifact() []byte { return s.engine.DFA().Encode() }
 
 // WarmDFA seeds the spanner's lazy-DFA cache from DFAArtifact output,
 // returning how many determinized states were added. Errors wrap the
@@ -161,11 +149,7 @@ func (s *Spanner) DFAArtifact() ([]byte, error) {
 // program.ErrDFAMismatch for a sidecar of a different program, and
 // the shared ErrTruncated/ErrChecksum/ErrCorrupt/ErrVersion/
 // ErrTooLarge); hostile bytes never panic and leave the cache
-// unchanged. Warming a spanner without a cache is an error.
+// unchanged.
 func (s *Spanner) WarmDFA(data []byte) (int, error) {
-	d := s.engine.DFA()
-	if d == nil {
-		return 0, fmt.Errorf("spanners: %q runs the interpreted fallback and has no DFA cache", s.source)
-	}
-	return d.WarmFromArtifact(data)
+	return s.engine.DFA().WarmFromArtifact(data)
 }

@@ -33,9 +33,6 @@ func TestMarshalRoundTripDifferential(t *testing.T) {
 	for _, tc := range marshalCorpus {
 		t.Run(tc.expr, func(t *testing.T) {
 			orig := MustCompile(tc.expr)
-			if !orig.Compiled() {
-				t.Fatalf("%q compiled to the interpreted fallback", tc.expr)
-			}
 			art, err := orig.MarshalBinary()
 			if err != nil {
 				t.Fatalf("MarshalBinary: %v", err)
@@ -61,9 +58,6 @@ func TestMarshalRoundTripDifferential(t *testing.T) {
 			}
 			if loaded.Sequential() != orig.Sequential() {
 				t.Errorf("Sequential() = %v, want %v", loaded.Sequential(), orig.Sequential())
-			}
-			if !loaded.Compiled() {
-				t.Error("loaded spanner is not compiled")
 			}
 			if loaded.Automaton() != nil || loaded.Expr() != nil {
 				t.Error("loaded spanner claims an automaton or syntax tree")
@@ -159,22 +153,6 @@ func resealed(b []byte, mutate func([]byte)) []byte {
 	return binary.LittleEndian.AppendUint64(body, h.Sum64())
 }
 
-func TestMarshalBinaryInterpretedFallback(t *testing.T) {
-	// 33 variables exceed program.MaxVars, forcing the interpreted
-	// engines; such a spanner has no serializable artifact.
-	expr := ""
-	for i := 0; i < 33; i++ {
-		expr += "x" + string(rune('A'+i%26)) + string(rune('a'+i/26)) + "{a}"
-	}
-	s := MustCompile(expr)
-	if s.Compiled() {
-		t.Skip("expression unexpectedly compiled; fallback path not reachable")
-	}
-	if _, err := s.MarshalBinary(); err == nil {
-		t.Fatal("MarshalBinary succeeded on an interpreted spanner")
-	}
-}
-
 // TestDFAArtifactRoundTripPublicAPI covers the public sidecar
 // surface: DFAArtifact on a warmed spanner seeds a freshly loaded
 // twin via WarmDFA, and hostile bytes yield typed errors.
@@ -184,10 +162,7 @@ func TestDFAArtifactRoundTripPublicAPI(t *testing.T) {
 	if !sp.Matches(d) {
 		t.Fatal("corpus spanner should match")
 	}
-	art, err := sp.DFAArtifact()
-	if err != nil {
-		t.Fatal(err)
-	}
+	art := sp.DFAArtifact()
 
 	bin, err := sp.MarshalBinary()
 	if err != nil {
@@ -201,7 +176,7 @@ func TestDFAArtifactRoundTripPublicAPI(t *testing.T) {
 	if err != nil || added == 0 {
 		t.Fatalf("WarmDFA = %d, %v", added, err)
 	}
-	if st := loaded.DFAStats(); !st.Enabled || st.PrewarmedStates == 0 {
+	if st := loaded.DFAStats(); st.PrewarmedStates == 0 {
 		t.Fatalf("loaded spanner not warmed: %+v", st)
 	}
 	if !loaded.Matches(d) {

@@ -30,7 +30,11 @@ func ParseRule(input string) (*Rule, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Rule{rule: r, ev: rules.NewEvaluator(r)}, nil
+	ev, err := rules.NewEvaluator(r)
+	if err != nil {
+		return nil, err
+	}
+	return &Rule{rule: r, ev: ev}, nil
 }
 
 // MustParseRule is ParseRule that panics on error.
@@ -56,7 +60,7 @@ func (r *Rule) ExtractAll(d *Document) []Mapping {
 
 // Matches reports whether the rule outputs anything on d, using the
 // tractable tree-like path when available.
-func (r *Rule) Matches(d *Document) bool { return rules.NonEmpty(r.rule, d) }
+func (r *Rule) Matches(d *Document) bool { return r.ev.NonEmpty(d) }
 
 // Simple reports whether all conjunct variables are distinct — the
 // fragment for which the tree-like hierarchy below is stated.
@@ -126,5 +130,9 @@ func (r *Rule) Vars() []Var {
 }
 
 func compileNode(n rgx.Node) (*Spanner, error) {
-	return &Spanner{expr: n, source: n.String(), engine: eval.CompileRGX(n)}, nil
+	e, err := eval.CompileRGX(n)
+	if err != nil {
+		return nil, err
+	}
+	return &Spanner{expr: n, source: n.String(), engine: e}, nil
 }

@@ -76,12 +76,19 @@ type Spanner struct {
 // is standard regex plus x{…} captures: literals, '.', classes [a-z]
 // and [^…], alternation '|', repetition '*' '+' '?', grouping, and
 // escapes (\n, \t, \d, \w, \s, \uXXXX, and \ before metacharacters).
+// An expression beyond the program budgets (more than
+// program.MaxVars variables, oversized dispatch tables) fails with an
+// error wrapping program.ErrBudget.
 func Compile(expr string) (*Spanner, error) {
 	n, err := rgx.Parse(expr)
 	if err != nil {
 		return nil, err
 	}
-	return &Spanner{expr: n, source: expr, engine: eval.CompileRGX(n)}, nil
+	e, err := eval.CompileRGX(n)
+	if err != nil {
+		return nil, err
+	}
+	return &Spanner{expr: n, source: expr, engine: e}, nil
 }
 
 // MustCompile is Compile that panics on error, for constants.
@@ -94,12 +101,22 @@ func MustCompile(expr string) *Spanner {
 }
 
 // FromAutomaton wraps a variable-set automaton as a spanner. The
-// automaton is validated and must not be mutated afterwards.
+// automaton is validated and must not be mutated afterwards; one
+// beyond the program budgets fails with program.ErrBudget.
 func FromAutomaton(a *va.VA) (*Spanner, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	return &Spanner{source: "<automaton>", engine: eval.NewEngine(a)}, nil
+	return fromAutomaton("<automaton>", a)
+}
+
+// fromAutomaton compiles a into a spanner reporting source.
+func fromAutomaton(source string, a *va.VA) (*Spanner, error) {
+	e, err := eval.NewEngine(a)
+	if err != nil {
+		return nil, err
+	}
+	return &Spanner{source: source, engine: e}, nil
 }
 
 // String returns the source expression (or "<automaton>").
@@ -146,19 +163,9 @@ func (s *Spanner) Vars() []Var { return s.engine.Vars() }
 // enumerate with polynomial delay.
 func (s *Spanner) Sequential() bool { return s.engine.Sequential() }
 
-// Compiled reports whether the spanner executes a compiled program
-// (the flat ε-free instruction tables of internal/program) rather
-// than interpreting automaton transitions. Compilation is rejected
-// only for automata beyond the program's variable or size budgets.
-func (s *Spanner) Compiled() bool { return s.engine.Compiled() }
-
 // ProgramStats describes the compiled execution artifact backing a
-// spanner. When Compiled is false the engine interprets the automaton
-// directly and the remaining fields are zero.
+// spanner.
 type ProgramStats struct {
-	// Compiled is false when program compilation was rejected and the
-	// interpreted fallback runs instead.
-	Compiled bool `json:"compiled"`
 	// Sequential selects between the PTIME engine (Theorem 5.7) and
 	// the FPT fallback (Theorem 5.10).
 	Sequential bool `json:"sequential"`
@@ -178,12 +185,8 @@ type ProgramStats struct {
 
 // ProgramStats returns the compiled-program statistics of the spanner.
 func (s *Spanner) ProgramStats() ProgramStats {
-	ps, ok := s.engine.ProgramStats()
-	if !ok {
-		return ProgramStats{Sequential: s.engine.Sequential()}
-	}
+	ps := s.engine.ProgramStats()
 	return ProgramStats{
-		Compiled:   true,
 		Sequential: s.engine.Sequential(),
 		States:     ps.States,
 		Classes:    ps.Classes,
@@ -202,9 +205,6 @@ func (s *Spanner) ProgramStats() ProgramStats {
 // artifact report the same cache — CacheID identifies it so
 // aggregators can deduplicate.
 type DFAStats struct {
-	// Enabled is false for spanners running the interpreted fallback,
-	// which have no program to determinize.
-	Enabled bool `json:"enabled"`
 	// CacheID is the process-unique identity of the shared cache.
 	CacheID uint64 `json:"cache_id,omitempty"`
 	// States counts resident determinized states; Budget bounds them.
@@ -249,8 +249,8 @@ type DFAStats struct {
 // BoundaryMemoStats is a snapshot of the enumerator's
 // boundary-emission memo: the bounded cache of (frontier, co-reach)
 // → emission choice sets that Enumerate/Count walks consult at every
-// document boundary. Enabled is false for interpreted spanners and
-// those with the memo forced off.
+// document boundary. Enabled is false until a walk has created the
+// memo, and stays false with the memo forced off.
 type BoundaryMemoStats struct {
 	Enabled   bool   `json:"enabled"`
 	Size      int    `json:"size"`
@@ -281,12 +281,8 @@ func (s *Spanner) BoundaryMemoStats() BoundaryMemoStats {
 
 // DFAStats returns the counters of the spanner's lazy-DFA cache.
 func (s *Spanner) DFAStats() DFAStats {
-	st, ok := s.engine.DFAStats()
-	if !ok {
-		return DFAStats{}
-	}
+	st := s.engine.DFAStats()
 	out := DFAStats{
-		Enabled:         true,
 		CacheID:         st.ID,
 		States:          st.States,
 		Budget:          st.Budget,
@@ -308,7 +304,7 @@ func (s *Spanner) DFAStats() DFAStats {
 		out.CandidateSkippedRunes += cs.CandidateSkippedRunes
 		out.CandidateDisables += cs.CandidateDisables
 		out.ConstrainedSegments += cs.ConstrainedSegments
-		if cs.Blocked != 0 {
+		if !cs.Blocked.IsZero() {
 			out.ConstrainedCaches++
 			out.ConstrainedStates += cs.States
 		}
@@ -439,14 +435,8 @@ func (s *Spanner) First(d *Document) (Mapping, bool) {
 
 // ProgramFingerprint returns the FNV-64 fingerprint of the compiled
 // program backing the spanner — the identity under which artifacts,
-// DFA sidecars and incremental document sessions are keyed — or 0 for
-// interpreted spanners, which have no program.
-func (s *Spanner) ProgramFingerprint() uint64 {
-	if !s.engine.Compiled() {
-		return 0
-	}
-	return s.engine.Program().Fingerprint()
-}
+// DFA sidecars and incremental document sessions are keyed.
+func (s *Spanner) ProgramFingerprint() uint64 { return s.engine.Program().Fingerprint() }
 
 // Incremental is a stateful extraction session over one mutable
 // document: it holds the full ordered result set of the last
@@ -498,9 +488,9 @@ type SpliceStats struct {
 
 // Incremental opens an incremental session on text, running one full
 // extraction to seed the caches. The second result is false when the
-// spanner cannot maintain results incrementally — only compiled
-// sequential spanners can — in which case callers re-extract from
-// scratch per edit.
+// spanner cannot maintain results incrementally — only sequential
+// spanners can — in which case callers re-extract from scratch per
+// edit.
 func (s *Spanner) Incremental(text string) (*Incremental, bool) {
 	inc, ok := eval.NewIncremental(s.engine, span.NewDocument(text))
 	if !ok {
@@ -597,26 +587,25 @@ func (c Constraints) WithUnassigned(x Var) Constraints {
 // union, at linear size). Like every algebra operation, it composes
 // through the operands' automata: spanners loaded from serialized
 // artifacts (LoadCompiledSpanner) carry none and must be recompiled
-// from String() first.
-func Union(a, b *Spanner) *Spanner {
-	u := va.Union(a.Automaton(), b.Automaton())
-	return &Spanner{source: fmt.Sprintf("(%s) ∪ (%s)", a, b), engine: eval.NewEngine(u)}
+// from String() first. Every operation fails with program.ErrBudget
+// when its result is beyond the compiled-program budgets — a union
+// or join takes the union of its operands' variables.
+func Union(a, b *Spanner) (*Spanner, error) {
+	return fromAutomaton(fmt.Sprintf("(%s) ∪ (%s)", a, b), va.Union(a.Automaton(), b.Automaton()))
 }
 
 // Project restricts outputs to the given variables (Theorem 4.5:
 // closure under projection, exponential only in the dropped
 // variables).
-func Project(s *Spanner, keep ...Var) *Spanner {
-	p := va.Project(s.Automaton(), keep)
-	return &Spanner{source: fmt.Sprintf("π%v(%s)", keep, s), engine: eval.NewEngine(p)}
+func Project(s *Spanner, keep ...Var) (*Spanner, error) {
+	return fromAutomaton(fmt.Sprintf("π%v(%s)", keep, s), va.Project(s.Automaton(), keep))
 }
 
 // Join combines compatible outputs of both spanners (Theorem 4.5);
 // it can express non-hierarchical overlaps that no single RGX can.
 // The construction is worst-case exponential in the shared variables.
-func Join(a, b *Spanner) *Spanner {
-	j := va.Join(a.Automaton(), b.Automaton())
-	return &Spanner{source: fmt.Sprintf("(%s) ⋈ (%s)", a, b), engine: eval.NewEngine(j)}
+func Join(a, b *Spanner) (*Spanner, error) {
+	return fromAutomaton(fmt.Sprintf("(%s) ⋈ (%s)", a, b), va.Join(a.Automaton(), b.Automaton()))
 }
 
 // Difference returns the spanner outputting exactly the mappings of a
@@ -633,7 +622,7 @@ func Difference(a, b *Spanner, budget int) (*Spanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Spanner{source: fmt.Sprintf("(%s) ∖ (%s)", a, b), engine: eval.NewEngine(d)}, nil
+	return fromAutomaton(fmt.Sprintf("(%s) ∖ (%s)", a, b), d)
 }
 
 // DefaultDifferenceBudget is the default state budget for Difference.
@@ -641,9 +630,8 @@ const DefaultDifferenceBudget = va.DefaultDifferenceBudget
 
 // Determinize returns an equivalent deterministic spanner
 // (Proposition 6.5); the automaton can be exponentially larger.
-func Determinize(s *Spanner) *Spanner {
-	d := va.Determinize(s.Automaton())
-	return &Spanner{source: fmt.Sprintf("det(%s)", s), engine: eval.NewEngine(d)}
+func Determinize(s *Spanner) (*Spanner, error) {
+	return fromAutomaton(fmt.Sprintf("det(%s)", s), va.Determinize(s.Automaton()))
 }
 
 // Sequentialize rewrites an expression-based spanner into an
@@ -658,7 +646,7 @@ func Sequentialize(s *Spanner, budget int) (*Spanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Spanner{expr: n, source: n.String(), engine: eval.CompileRGX(n)}, nil
+	return compileNode(n)
 }
 
 // DefaultBudget bounds the worst-case-exponential rewritings.

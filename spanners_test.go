@@ -4,8 +4,39 @@ import (
 	"strings"
 	"testing"
 
+	"spanners/internal/eval"
+	"spanners/internal/rgx"
+	"spanners/internal/va"
 	"spanners/internal/workload"
 )
+
+// must returns an unwrapper for spanner-returning calls that fails
+// the test on error: must(t)(Union(a, b)).
+func must(t testing.TB) func(*Spanner, error) *Spanner {
+	return func(sp *Spanner, err error) *Spanner {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+}
+
+// engineVA compiles a into an engine, failing the test on error.
+func engineVA(t testing.TB, a *va.VA) *eval.Engine {
+	t.Helper()
+	e, err := eval.NewEngine(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// engineRGX is engineVA over a parsed expression.
+func engineRGX(t testing.TB, n rgx.Node) *eval.Engine {
+	t.Helper()
+	return engineVA(t, va.FromRGX(n))
+}
 
 // The paper's running example: extract seller names always and the
 // optional tax amount when present.
@@ -109,12 +140,12 @@ func TestAlgebra(t *testing.T) {
 	b := MustCompile(".*y{b}")
 	d := NewDocument("ab")
 
-	u := Union(a, b)
+	u := must(t)(Union(a, b))
 	if got := len(u.ExtractAll(d)); got != 2 {
 		t.Errorf("union outputs = %d", got)
 	}
 
-	j := Join(a, b)
+	j := must(t)(Join(a, b))
 	all := j.ExtractAll(d)
 	if len(all) != 1 {
 		t.Fatalf("join outputs = %v", all)
@@ -123,7 +154,7 @@ func TestAlgebra(t *testing.T) {
 		t.Errorf("join mapping = %v", all[0])
 	}
 
-	p := Project(j, "x")
+	p := must(t)(Project(j, "x"))
 	pm := p.ExtractAll(d)
 	if len(pm) != 1 || len(pm[0]) != 1 || pm[0]["x"] != Sp(1, 2) {
 		t.Errorf("projection = %v", pm)
@@ -135,7 +166,7 @@ func TestJoinExpressesOverlap(t *testing.T) {
 	// RGX, the motivating power of the algebra.
 	a := MustCompile(".*x{..}.*")
 	b := MustCompile(".*y{..}.*")
-	j := Join(a, b)
+	j := must(t)(Join(a, b))
 	d := NewDocument("abc")
 	found := false
 	for _, m := range j.ExtractAll(d) {
@@ -199,7 +230,7 @@ func TestStaticAnalysisAPI(t *testing.T) {
 
 func TestDeterminizeAPI(t *testing.T) {
 	s := MustCompile("x{a}|y{a}")
-	d := Determinize(s)
+	d := must(t)(Determinize(s))
 	if !d.Automaton().IsDeterministic() {
 		t.Fatal("not deterministic")
 	}
@@ -210,7 +241,7 @@ func TestDeterminizeAPI(t *testing.T) {
 }
 
 func TestContainedDetSeqAPI(t *testing.T) {
-	a := Determinize(MustCompile("x{a}b(y{c})"))
+	a := must(t)(Determinize(MustCompile("x{a}b(y{c})")))
 	ok, err := ContainedDetSeq(a, a)
 	if err != nil || !ok {
 		t.Errorf("self containment: %v %v", ok, err)
@@ -304,12 +335,9 @@ func equalMappings(a, b []Mapping) bool {
 
 func TestProgramStatsExposed(t *testing.T) {
 	s := MustCompile(sellerExpr)
-	if !s.Compiled() {
-		t.Fatal("seller spanner should execute a compiled program")
-	}
 	st := s.ProgramStats()
-	if !st.Compiled || !st.Sequential {
-		t.Fatalf("ProgramStats = %+v, want compiled sequential", st)
+	if !st.Sequential {
+		t.Fatalf("ProgramStats = %+v, want sequential", st)
 	}
 	if st.States == 0 || st.Classes == 0 || st.Vars != 2 || st.OpEdges == 0 {
 		t.Fatalf("ProgramStats sizes look wrong: %+v", st)
@@ -319,10 +347,7 @@ func TestProgramStatsExposed(t *testing.T) {
 	}
 
 	// Algebra results carry their own compiled programs.
-	u := Union(s, MustCompile(`z{a}`))
-	if !u.Compiled() {
-		t.Error("union spanner should also compile")
-	}
+	u := must(t)(Union(s, MustCompile(`z{a}`)))
 	if got := u.ProgramStats().Vars; got != 3 {
 		t.Errorf("union program has %d vars, want 3", got)
 	}
