@@ -78,9 +78,9 @@ func runIncrementalBench(quick bool, jsonPath string) incReport {
 
 	fmt.Println("== incremental re-extraction vs full re-extraction (same compiled spanner)")
 
-	// Full re-extraction is quadratic in lines on this pattern (n
-	// mappings at O(n) delay each), so 1024 keeps the full side's
-	// measured calls in CI range while leaving the speedups far above
+	// Full re-extraction is linear in lines on this pattern; 1024
+	// lines keeps it large enough that an append, which pays the
+	// suffix resweep and the splice bookkeeping, stays well clear of
 	// the gate floor.
 	lines := 1024
 	if quick {

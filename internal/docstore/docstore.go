@@ -64,6 +64,7 @@ type Stats struct {
 type attachment struct {
 	val  any
 	size int
+	used uint64 // store clock at the last Attach or Attachment
 }
 
 type entry struct {
@@ -93,6 +94,7 @@ type Store struct {
 	lru    *list.List // front = most recently used
 
 	puts, splices, hits, misses, evictions uint64
+	clock                                  uint64 // attachment-use stamps
 }
 
 // New returns a store bounded by budgetBytes (minimum one page's
@@ -262,7 +264,8 @@ func (s *Store) SplicesSince(id string, v int64) ([]Splice, bool) {
 // Attach parks an opaque value (the service's incremental extraction
 // session) on the document under a fingerprint key, accounting size
 // bytes against the store budget. At most a handful of attachments
-// are kept per document; when full, an arbitrary one is dropped.
+// are kept per document; when full, the least recently used one is
+// dropped, so a session that is still being read survives.
 // Attaching to an unknown id is a no-op returning false.
 func (s *Store) Attach(id string, key uint64, val any, size int) bool {
 	s.mu.Lock()
@@ -275,12 +278,17 @@ func (s *Store) Attach(id string, key uint64, val any, size int) bool {
 		e.attach = make(map[uint64]attachment, maxAttach)
 	}
 	if _, exists := e.attach[key]; !exists && len(e.attach) >= maxAttach {
-		for k := range e.attach {
-			delete(e.attach, k)
-			break
+		var oldest uint64
+		first := true
+		for k, a := range e.attach {
+			if first || a.used < e.attach[oldest].used {
+				oldest, first = k, false
+			}
 		}
+		delete(e.attach, oldest)
 	}
-	e.attach[key] = attachment{val: val, size: size}
+	s.clock++
+	e.attach[key] = attachment{val: val, size: size, used: s.clock}
 	s.touch(e)
 	s.resize(e)
 	return true
@@ -298,6 +306,9 @@ func (s *Store) Attachment(id string, key uint64) (any, bool) {
 	if !ok {
 		return nil, false
 	}
+	s.clock++
+	a.used = s.clock
+	e.attach[key] = a
 	s.touch(e)
 	return a.val, true
 }

@@ -246,6 +246,32 @@ func TestAttachments(t *testing.T) {
 	}
 }
 
+func TestAttachmentEvictsLeastRecentlyUsed(t *testing.T) {
+	s := New(1 << 20)
+	if _, err := s.Put("d", "text"); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	for k := uint64(1); k <= maxAttach; k++ {
+		s.Attach("d", k, k, 8)
+	}
+	// Reading key 1 makes key 2 the least recently used attachment.
+	if _, ok := s.Attachment("d", 1); !ok {
+		t.Fatal("attachment 1 missing before the cap was reached")
+	}
+	s.Attach("d", maxAttach+1, "new", 8)
+	if _, ok := s.Attachment("d", 1); !ok {
+		t.Fatal("recently read attachment 1 was evicted")
+	}
+	if _, ok := s.Attachment("d", 2); ok {
+		t.Fatal("least recently used attachment 2 survived")
+	}
+	for k := uint64(3); k <= maxAttach+1; k++ {
+		if _, ok := s.Attachment("d", k); !ok {
+			t.Fatalf("attachment %d evicted instead of 2", k)
+		}
+	}
+}
+
 func TestAttachmentBytesCountAgainstBudget(t *testing.T) {
 	s := New(2*(64+entryOverhead) + 512)
 	if _, err := s.Put("a", strings.Repeat("x", 64)); err != nil {

@@ -12,15 +12,12 @@ import (
 //
 //	(frontier DState, co-reach DState) → boundary emission choices
 //
-// keyed on interned lazy-DFA states, so equality is pointer identity
-// instead of bitset comparison. boundaryEmissionsProg — the dominant
-// per-position cost of Enumerate/Count/streaming — is a pure
-// function of the surviving frontier and the co-reachable set, and
-// on real documents the same pair recurs at position after position
-// (a^n makes every interior boundary identical; log-like corpora
-// repeat per record). The memo follows the flush-on-budget
-// discipline of program/dfa.go: when full, drop everything and
-// rebuild from the live walk.
+// keyed on interned lazy-DFA states, so equality is pointer identity.
+// boundaryEmissionsProg, the BFS behind every branching node of the
+// walk, is a pure function of the pair, and on real documents the same
+// pair recurs record after record and document after document. The
+// memo follows the flush-on-budget discipline of program/dfa.go: when
+// full, drop everything and rebuild from the live walks.
 //
 // Interning ties keys to DFA cache generations: after a DFA budget
 // flush the same frontier re-interns to a fresh pointer, so stale
@@ -72,29 +69,6 @@ func newBoundaryMemo(budget int) *boundaryMemo {
 	}
 }
 
-func (m *boundaryMemo) lookup(k bmKey) ([]progEmission, bool) {
-	m.mu.Lock()
-	v, ok := m.entries[k]
-	m.mu.Unlock()
-	if ok {
-		m.hits.Add(1)
-	} else {
-		m.misses.Add(1)
-	}
-	return v, ok
-}
-
-func (m *boundaryMemo) store(k bmKey, v []progEmission) {
-	m.mu.Lock()
-	if len(m.entries) >= m.budget {
-		m.evictions.Add(uint64(len(m.entries)))
-		m.flushes.Add(1)
-		m.entries = make(map[bmKey][]progEmission, m.budget)
-	}
-	m.entries[k] = v
-	m.mu.Unlock()
-}
-
 func (m *boundaryMemo) stats() BoundaryMemoStats {
 	m.mu.Lock()
 	size := len(m.entries)
@@ -109,80 +83,36 @@ func (m *boundaryMemo) stats() BoundaryMemoStats {
 	}
 }
 
-// bmCtx is one walk's view of the memo: the co-reach frontier of
-// every position interned once up front, a reusable key scratch, and
-// an unlocked walk-local cache in front of the shared memo. Walks
-// are single-goroutine, so the local tier costs neither mutex nor
-// atomics — the dominant expense of the shared tier under profiling.
-// The outer key is the co-reach state pointer (shared by every
-// position with the same co-reach frontier), so the local tier gets
-// the same cross-position hit rate as the shared one.
-type bmCtx struct {
-	e       *Engine
-	memo    *boundaryMemo
-	co      []*program.DState
-	scratch []byte
-	local   map[*program.DState]map[string][]progEmission
-	hits    uint64
-}
-
-// newBMCtx interns the per-position co-reach frontiers and returns
-// the walk context, or nil when memoization is off (no DFA to intern
-// through, or ForceNoBoundaryMemo) — callers then compute emissions
-// directly.
-func (e *Engine) newBMCtx(bwd []program.Bits) *bmCtx {
+// emissions is boundaryEmissionsProg through the shared memo: intern
+// the set and the co-reach frontier and look the pair up before
+// computing. It computes directly when memoization is off (no DFA to
+// intern through, or ForceNoBoundaryMemo). The returned slice is
+// shared and must not be mutated; scratch is the caller's reusable
+// key buffer.
+func (e *Engine) emissions(set, co program.Bits, scratch *[]byte) []progEmission {
 	if !e.DFAEnabled() || e.nomemo {
-		return nil
+		return e.boundaryEmissionsProg(set, co)
 	}
-	c := &bmCtx{
-		e:     e,
-		memo:  e.boundaryMemo(),
-		co:    make([]*program.DState, len(bwd)),
-		local: map[*program.DState]map[string][]progEmission{},
-	}
-	for i, b := range bwd {
-		if b != nil {
-			c.co[i], c.scratch = e.dfa.StateScratch(b, c.scratch)
-		}
-	}
-	return c
-}
-
-// emissions is the memoized boundaryEmissionsProg: key the set's bits
-// against the position's interned co-reach state and consult the
-// walk-local tier, then the shared memo, before computing. The
-// returned slice is shared and must not be mutated.
-func (c *bmCtx) emissions(set program.Bits, pos int) []progEmission {
-	co := c.co[pos]
-	c.scratch = set.AppendKey(c.scratch[:0])
-	inner := c.local[co]
-	if v, ok := inner[string(c.scratch)]; ok {
-		c.hits++
+	var k bmKey
+	k.set, *scratch = e.dfa.StateScratch(set, *scratch)
+	k.co, *scratch = e.dfa.StateScratch(co, *scratch)
+	m := e.boundaryMemo()
+	m.mu.Lock()
+	v, ok := m.entries[k]
+	m.mu.Unlock()
+	if ok {
+		m.hits.Add(1)
 		return v
 	}
-	// Walk-local miss: intern the set and go through the shared memo
-	// (StateScratch leaves the set's key bytes in the scratch).
-	var ss *program.DState
-	ss, c.scratch = c.e.dfa.StateScratch(set, c.scratch)
-	k := bmKey{set: ss, co: co}
-	v, ok := c.memo.lookup(k)
-	if !ok {
-		v = c.e.boundaryEmissionsProg(ss.Frontier(), co.Frontier())
-		c.memo.store(k, v)
+	m.misses.Add(1)
+	v = e.boundaryEmissionsProg(k.set.Frontier(), k.co.Frontier())
+	m.mu.Lock()
+	if len(m.entries) >= m.budget {
+		m.evictions.Add(uint64(len(m.entries)))
+		m.flushes.Add(1)
+		m.entries = make(map[bmKey][]progEmission, m.budget)
 	}
-	if inner == nil {
-		inner = map[string][]progEmission{}
-		c.local[co] = inner
-	}
-	inner[string(c.scratch)] = v
+	m.entries[k] = v
+	m.mu.Unlock()
 	return v
-}
-
-// done folds the walk-local hit count into the shared memo's
-// counters; local hits are shared-memo hits that skipped the lock.
-// Safe on a nil context.
-func (c *bmCtx) done() {
-	if c != nil && c.hits != 0 {
-		c.memo.hits.Add(c.hits)
-	}
 }

@@ -3,7 +3,7 @@ package eval
 import (
 	"math/bits"
 	"sort"
-	"strconv"
+	"strings"
 
 	"spanners/internal/program"
 	"spanners/internal/span"
@@ -446,138 +446,41 @@ func (e *Engine) evalFPTProg(d *span.Document, mu span.Extended) bool {
 	return false
 }
 
-// progOpAt records one fired operation during compiled enumeration.
-type progOpAt struct {
-	v    uint8
-	open bool
-	pos  int
-}
-
-// enumerateSequentialProg streams ⟦A⟧_d for a sequential automaton by
-// walking the document once per output branch: at every boundary the
-// reachable state set is split by the set of variable operations
-// fired there, and the DFS branches on that choice. Two properties of
-// sequential automata make this both correct and output-efficient:
-//
-//   - every path from the start state is a valid run prefix, so a
-//     branch never has to re-check variable discipline; and
-//   - the permissive co-reachability index is exact, so a branch is
-//     pruned the moment it cannot reach acceptance — every surviving
-//     branch produces at least one output, giving delay O(|d|·|δ|)
-//     between outputs without the Eval-oracle probing of Algorithm 2.
-//
-// A mapping is exactly the sequence of boundary operation sets, so
-// distinct branches produce distinct mappings and no deduplication is
-// needed. Frontiers and co-reachability are bitsets, boundary
-// operation sets program.OpMask values; outputs come in deterministic
-// order (boundary sets in canonical order at each position).
-func (e *Engine) enumerateSequentialProg(d *span.Document, yield func(span.Mapping) bool) {
-	if e.prefilterRejects(d) {
-		return
-	}
-	e.enumerateSequentialProgFrom(d, e.backwardReachProg(d), yield)
-}
-
-// enumerateSequentialProgFrom is enumerateSequentialProg with the
-// co-reach sweep hoisted out, so the observed path can time the sweep
-// and the walk as separate stages.
+// enumerateSequentialProgFrom streams ⟦A⟧_d for a sequential automaton
+// through the boundary walk of walk.go, given the co-reach sweep bwd
+// (hoisted out so the observed path can time the sweep and the walk as
+// separate stages). Exact co-reachability makes every branch of the
+// walk productive, and distinct branches produce distinct mappings, so
+// no deduplication is needed; outputs come in deterministic order
+// (boundary sets in canonical order at each position).
 func (e *Engine) enumerateSequentialProgFrom(d *span.Document, bwd []program.Bits, yield func(span.Mapping) bool) {
-	p := e.prog
-	n := d.Len()
-
-	var fired []progOpAt
-	emit := func() bool {
-		m := make(span.Mapping)
-		opens := make(map[uint8]int, 2)
-		for _, f := range fired {
-			if f.open {
-				opens[f.v] = f.pos
-			} else {
-				m[p.Vars[f.v]] = span.Span{Start: opens[f.v], End: f.pos}
-			}
-		}
-		return yield(m)
-	}
-
-	start := program.NewBits(p.NumStates)
-	start.Set(p.Start)
-
-	// The boundary-emission memo carries choice sets across positions
-	// (and across documents): walks re-deriving the same (frontier,
-	// co-reach) pair pay one interned lookup instead of the BFS.
-	bm := e.newBMCtx(bwd)
-	defer bm.done()
-	emissions := func(set program.Bits, pos int) []progEmission {
-		if bm == nil {
-			return e.boundaryEmissionsProg(set, bwd[pos])
-		}
-		return bm.emissions(set, pos)
-	}
-
-	var dfs func(set program.Bits, pos int) bool
-	dfs = func(set program.Bits, pos int) bool {
-		for _, ch := range emissions(set, pos) {
-			if pos == n+1 {
-				if !ch.states.Intersects(p.Final) {
-					continue
-				}
-				for _, t := range ch.ops {
-					fired = append(fired, progOpAt{v: t.v, open: t.open, pos: pos})
-				}
-				ok := emit()
-				fired = fired[:len(fired)-len(ch.ops)]
-				if !ok {
-					return false
-				}
-				continue
-			}
-			next := e.letterAdvanceProg(ch.states, d.RuneAt(pos), bwd[pos+1])
-			if next == nil {
-				continue
-			}
-			for _, t := range ch.ops {
-				fired = append(fired, progOpAt{v: t.v, open: t.open, pos: pos})
-			}
-			ok := dfs(next, pos+1)
-			fired = fired[:len(fired)-len(ch.ops)]
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	dfs(start, 1)
+	w := e.newSeqWalk(d, 1, d.Len()+1, false, bwd[1:])
+	defer w.done()
+	w.visit(w.root(nil), yield)
 }
 
-// progOpTok is one operation of a boundary choice.
-type progOpTok struct {
-	v    uint8
-	open bool
-}
-
-// progEmission is one boundary choice of the compiled enumerator.
+// progEmission is one boundary choice of the compiled enumerator: the
+// operations it fires and the states they reach.
 type progEmission struct {
-	ops    []progOpTok
+	mask   program.OpMask
 	states program.Bits
 }
 
-// maskKey renders an op mask as its canonical sorted token string,
-// the order key of boundary choices.
+// maskKey renders an op mask as its canonical sorted token string
+// ("c"+var then "o"+var, each ";"-terminated), the order key of
+// boundary choices. Vars are sorted by name, so ascending ids already
+// give the sorted order.
 func (e *Engine) maskKey(m program.OpMask) string {
-	p := e.prog
-	toks := make([]string, 0, m.Count())
-	for w := m.Open; w != 0; w &= w - 1 {
-		toks = append(toks, "o"+string(p.Vars[bits.TrailingZeros64(w)]))
+	var b strings.Builder
+	for _, half := range [2]struct {
+		tag  string
+		word uint64
+	}{{"c", m.Close}, {"o", m.Open}} {
+		for w := half.word; w != 0; w &= w - 1 {
+			b.WriteString(half.tag + string(e.prog.Vars[bits.TrailingZeros64(w)]) + ";")
+		}
 	}
-	for w := m.Close; w != 0; w &= w - 1 {
-		toks = append(toks, "c"+string(p.Vars[bits.TrailingZeros64(w)]))
-	}
-	sort.Strings(toks)
-	k := ""
-	for _, t := range toks {
-		k += t + ";"
-	}
-	return k
+	return b.String()
 }
 
 // boundaryEmissionsProg enumerates the distinct operation sets firable
@@ -599,155 +502,58 @@ func (e *Engine) boundaryEmissionsProg(set program.Bits, coReach program.Bits) [
 		return []progEmission{{states: alive}}
 	}
 
+	// The states reached under each fired-operation mask form one
+	// choice; the empty mask is exactly the surviving set.
 	type cfg struct {
 		q    int32
 		mask program.OpMask
 	}
-	seen := map[cfg]bool{}
+	byMask := map[program.OpMask]program.Bits{{}: alive}
 	var queue []cfg
-	alive.ForEach(func(q int) {
-		c := cfg{q: int32(q)}
-		seen[c] = true
-		queue = append(queue, c)
-	})
+	alive.ForEach(func(q int) { queue = append(queue, cfg{q: int32(q)}) })
 	for len(queue) > 0 {
 		c := queue[0]
 		queue = queue[1:]
 		for _, ed := range p.OpsFrom(int(c.q)) {
-			if c.mask.Intersects(ed.Mask) {
-				continue // an operation fires at most once per run
-			}
-			if !coReach.Has(int(ed.To)) {
+			// An operation fires at most once per run.
+			if c.mask.Intersects(ed.Mask) || !coReach.Has(int(ed.To)) {
 				continue
 			}
 			nc := cfg{q: ed.To, mask: c.mask.Or(ed.Mask)}
-			if !seen[nc] {
-				seen[nc] = true
+			s := byMask[nc.mask]
+			if s == nil {
+				s = program.NewBits(p.NumStates)
+				byMask[nc.mask] = s
+			}
+			if !s.Has(int(nc.q)) {
+				s.Set(int(nc.q))
 				queue = append(queue, nc)
 			}
 		}
 	}
 
-	byMask := map[program.OpMask]program.Bits{}
-	for c := range seen {
-		s := byMask[c.mask]
-		if s == nil {
-			s = program.NewBits(p.NumStates)
-			byMask[c.mask] = s
-		}
-		s.Set(int(c.q))
-	}
-	masks := make([]program.OpMask, 0, len(byMask))
-	for m := range byMask {
-		masks = append(masks, m)
-	}
 	// Canonical order: operation-firing choices before the do-nothing
 	// choice (so outputs come out in document order), then by op-set
 	// key so enumeration is deterministic.
-	sort.Slice(masks, func(i, j int) bool {
-		if masks[i].IsZero() != masks[j].IsZero() {
-			return masks[j].IsZero()
+	type choice struct {
+		key string
+		m   program.OpMask
+	}
+	cs := make([]choice, 0, len(byMask))
+	for m := range byMask {
+		cs = append(cs, choice{e.maskKey(m), m})
+	}
+	sort.Slice(cs, func(i, j int) bool {
+		if cs[i].m.IsZero() != cs[j].m.IsZero() {
+			return cs[j].m.IsZero()
 		}
-		return e.maskKey(masks[i]) < e.maskKey(masks[j])
+		return cs[i].key < cs[j].key
 	})
-
-	out := make([]progEmission, 0, len(masks))
-	for _, m := range masks {
-		ops := make([]progOpTok, 0, m.Count())
-		for w := m.Open; w != 0; w &= w - 1 {
-			ops = append(ops, progOpTok{v: uint8(bits.TrailingZeros64(w)), open: true})
-		}
-		for w := m.Close; w != 0; w &= w - 1 {
-			ops = append(ops, progOpTok{v: uint8(bits.TrailingZeros64(w)), open: false})
-		}
-		sort.Slice(ops, func(i, j int) bool {
-			if p.Vars[ops[i].v] != p.Vars[ops[j].v] {
-				return p.Vars[ops[i].v] < p.Vars[ops[j].v]
-			}
-			return ops[i].open && !ops[j].open
-		})
-		out = append(out, progEmission{ops: ops, states: byMask[m]})
+	out := make([]progEmission, len(cs))
+	for i, c := range cs {
+		out[i] = progEmission{mask: c.m, states: byMask[c.m]}
 	}
 	return out
-}
-
-// letterAdvanceProg moves a state set across one letter, pruning by
-// co-reachability; nil means the branch died.
-func (e *Engine) letterAdvanceProg(set program.Bits, r rune, coReach program.Bits) program.Bits {
-	p := e.prog
-	c := p.ClassOf(r)
-	if c < 0 {
-		return nil
-	}
-	next := program.NewBits(p.NumStates)
-	if !p.LetterStep(set, c, next) {
-		return nil
-	}
-	next.And(coReach)
-	if !next.Any() {
-		return nil
-	}
-	return next
-}
-
-// countDFASweepMinStates gates the reverse-DFA co-reach sweep on the
-// count path: a program this small steps its one-word bitsets faster
-// than it resolves memoized transitions (the count/sequential
-// regression of the benchmark history), so engine selection is
-// per-path — the count sweep picks the raw stepper on tiny programs
-// while Match and the enumerator keep the DFA.
-const countDFASweepMinStates = 16
-
-// countProg is the memoized counting DP of Count over (position,
-// state set) configurations; memo keys are raw bitset words. Boundary choice sets resolve through the cross-position
-// emission memo, which dedups the per-position BFS the DP's own
-// (position, set) memo cannot.
-func (e *Engine) countProg(d *span.Document) int {
-	if e.prefilterRejects(d) {
-		return 0
-	}
-	p := e.prog
-	nDoc := d.Len()
-	var bwd []program.Bits
-	if p.NumStates >= countDFASweepMinStates {
-		bwd = e.backwardReachProg(d)
-	} else {
-		bwd = e.backwardReachProgRaw(d)
-	}
-	bm := e.newBMCtx(bwd)
-	defer bm.done()
-	emissions := func(set program.Bits, pos int) []progEmission {
-		if bm == nil {
-			return e.boundaryEmissionsProg(set, bwd[pos])
-		}
-		return bm.emissions(set, pos)
-	}
-	memo := map[string]int{}
-	var count func(set program.Bits, pos int) int
-	count = func(set program.Bits, pos int) int {
-		key := strconv.Itoa(pos) + ":" + set.Key()
-		if c, ok := memo[key]; ok {
-			return c
-		}
-		total := 0
-		for _, ch := range emissions(set, pos) {
-			if pos == nDoc+1 {
-				if ch.states.Intersects(p.Final) {
-					total++
-				}
-				continue
-			}
-			next := e.letterAdvanceProg(ch.states, d.RuneAt(pos), bwd[pos+1])
-			if next != nil {
-				total += count(next, pos+1)
-			}
-		}
-		memo[key] = total
-		return total
-	}
-	start := program.NewBits(p.NumStates)
-	start.Set(p.Start)
-	return count(start, 1)
 }
 
 // forwardReachProg computes, for every position, the states reachable
@@ -796,29 +602,39 @@ func (e *Engine) backwardReachProg(d *span.Document) []program.Bits {
 	return e.backwardReachProgRaw(d)
 }
 
-// backwardReachProgRaw is the direct bitset co-reach sweep: the DFA
-// fallback, and the per-path choice of countProg on programs too
-// small for memoized stepping to pay.
+// backwardReachProgRaw is the direct bitset co-reach sweep, the DFA
+// fallback.
 func (e *Engine) backwardReachProgRaw(d *span.Document) []program.Bits {
+	return e.coReachRaw(d, 1, d.Len()+1, nil)
+}
+
+// coReachRaw sweeps co-reachability backward over boundaries lo..hi
+// from the frontier last at hi (nil: the states reaching Final by
+// operations alone): out[pos-lo+1] holds the states that reach last at
+// hi reading d[pos..hi-1], operations permissive (out[0] is unused, the
+// layout of the DFA sweeps).
+func (e *Engine) coReachRaw(d *span.Document, lo, hi int, last program.Bits) []program.Bits {
 	p := e.prog
-	n := d.Len()
-	out := make([]program.Bits, n+2)
-	cur := p.Final.Clone()
-	p.ROpClosure(cur)
-	out[n+1] = cur
-	for pos := n; pos >= 1; pos-- {
-		prev := program.NewBits(p.NumStates)
+	if last == nil {
+		last = p.Final.Clone()
+		p.ROpClosure(last)
+	}
+	out := make([]program.Bits, hi-lo+2)
+	out[hi-lo+1] = last
+	words := len(last)
+	backing := make([]uint64, (hi-lo)*words) // one allocation for the sweep
+	for pos := hi - 1; pos >= lo; pos-- {
+		prev := program.Bits(backing[(pos-lo)*words : (pos-lo+1)*words])
 		if c := p.ClassOf(d.RuneAt(pos)); c >= 0 {
-			p.LetterStepBack(cur, c, prev)
+			p.LetterStepBack(out[pos-lo+2], c, prev)
 		}
 		p.ROpClosure(prev)
-		out[pos] = prev
-		cur = prev
+		out[pos-lo+1] = prev
 	}
 	return out
 }
 
-// candidateSpansProg computes, for each variable, an
+// candidateSpansProgFrom computes, for each variable, an
 // over-approximation of the spans any output mapping can assign it:
 // pairs (i, j) such that some letter-consistent path opens the
 // variable at position i and closes it at position j. Enumeration then
@@ -830,14 +646,8 @@ func (e *Engine) backwardReachProgRaw(d *span.Document) []program.Bits {
 //
 // The filter treats variable operations permissively (any operation
 // may fire regardless of discipline), so it is sound for sequential
-// and non-sequential automata alike.
-func (e *Engine) candidateSpansProg(d *span.Document) map[span.Var][]span.Span {
-	return e.candidateSpansProgFrom(d, e.forwardReachProg(d), e.backwardReachProg(d))
-}
-
-// candidateSpansProgFrom is candidateSpansProg with both reachability
-// sweeps hoisted out, so the observed path can time them as separate
-// stages.
+// and non-sequential automata alike. The forward and co-reach sweeps
+// are passed in, so the observed path can time them as separate stages.
 func (e *Engine) candidateSpansProgFrom(d *span.Document, fwd, bwd []program.Bits) map[span.Var][]span.Span {
 	p := e.prog
 	n := d.Len()

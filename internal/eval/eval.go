@@ -31,6 +31,7 @@ package eval
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"spanners/internal/program"
 	"spanners/internal/rgx"
@@ -64,7 +65,11 @@ type Engine struct {
 	nomemo      bool
 	memoBudget  int
 	bmemoOnce   sync.Once
-	bmemo       *boundaryMemo
+	bmemo       atomic.Pointer[boundaryMemo]
+
+	// opReachBits marks the states that can reach an op edge (walk.go).
+	opReachOnce sync.Once
+	opReachBits program.Bits
 }
 
 // NewEngine wraps an automaton, detecting once whether the sequential
@@ -167,19 +172,21 @@ func (e *Engine) boundaryMemo() *boundaryMemo {
 		if b == 0 {
 			b = DefaultBoundaryMemoBudget
 		}
-		e.bmemo = newBoundaryMemo(b)
+		e.bmemo.Store(newBoundaryMemo(b))
 	})
-	return e.bmemo
+	return e.bmemo.Load()
 }
 
 // BoundaryMemoStats returns the counters of the engine's
 // boundary-emission memo; ok is false when no walk has created it
-// yet (or memoization cannot run on this engine).
+// yet (or memoization cannot run on this engine). Safe to call while
+// walks run.
 func (e *Engine) BoundaryMemoStats() (BoundaryMemoStats, bool) {
-	if e.bmemo == nil {
+	m := e.bmemo.Load()
+	if m == nil {
 		return BoundaryMemoStats{}, false
 	}
-	return e.bmemo.stats(), true
+	return m.stats(), true
 }
 
 // Prefilter returns the engine's required-literal prefilter, nil
@@ -264,8 +271,9 @@ func (e *Engine) ModelCheck(d *span.Document, m span.Mapping) bool {
 // if yield returns false, with polynomial delay whenever the paper
 // proves it possible (Theorem 5.1 + 5.7). Three strategies exist:
 //
-//   - sequential automata use a direct branch-per-boundary walk whose
-//     every branch provably yields output (delay O(|d|·|δ|));
+//   - sequential automata use the boundary walk of walk.go, whose
+//     every branch provably yields output, in time linear in |d| plus
+//     the output (amortized);
 //   - other automata fall back to EnumerateFiltered, Algorithm 2 with
 //     a reachability prefilter on candidate spans;
 //   - EnumerateOracle is the paper's Algorithm 2 verbatim, kept for
@@ -275,27 +283,31 @@ func (e *Engine) ModelCheck(d *span.Document, m span.Mapping) bool {
 // direct and oracle strategies but each is deterministic.
 func (e *Engine) Enumerate(d *span.Document, yield func(span.Mapping) bool) {
 	if e.sequential {
-		e.enumerateSequentialProg(d, yield)
+		if !e.prefilterRejects(d) {
+			e.enumerateSequentialProgFrom(d, e.backwardReachProg(d), yield)
+		}
 		return
 	}
 	e.EnumerateFiltered(d, yield)
 }
 
 // Count returns |⟦A⟧_d|, the number of distinct output mappings. For
-// sequential automata it runs a memoized dynamic program over
-// (state set, position) configurations of the enumeration tree —
-// branches of the tree correspond bijectively to mappings, so the
-// count needs no materialization and is typically far cheaper than
-// enumerating (spanner counting is a well-studied problem in its own
-// right). Non-sequential automata fall back to counting via
-// enumeration.
+// sequential automata it is a dynamic program over the enumeration
+// walk's (position, state set) DAG — walk branches correspond
+// bijectively to mappings, so nothing is materialized. Non-sequential
+// automata count by enumeration.
 func (e *Engine) Count(d *span.Document) int {
 	if !e.sequential {
 		n := 0
 		e.Enumerate(d, func(span.Mapping) bool { n++; return true })
 		return n
 	}
-	return e.countProg(d)
+	if e.prefilterRejects(d) {
+		return 0
+	}
+	w := e.newSeqWalk(d, 1, d.Len()+1, false, e.backwardReachProg(d)[1:])
+	defer w.done()
+	return w.count(w.root(nil))
 }
 
 // EnumerateFiltered implements Algorithm 2 with a candidate-span
@@ -310,7 +322,7 @@ func (e *Engine) EnumerateFiltered(d *span.Document, yield func(span.Mapping) bo
 	if !e.Eval(d, span.Extended{}) {
 		return
 	}
-	e.enumerateFilteredFrom(d, e.candidateSpansProg(d), yield)
+	e.enumerateFilteredFrom(d, e.candidateSpansProgFrom(d, e.forwardReachProg(d), e.backwardReachProg(d)), yield)
 }
 
 // enumerateFilteredFrom is the probing walk of EnumerateFiltered with
@@ -352,32 +364,11 @@ func (e *Engine) EnumerateOracle(d *span.Document, yield func(span.Mapping) bool
 	if !e.Eval(d, span.Extended{}) {
 		return
 	}
-	spans := d.Spans()
-	var rec func(mu span.Extended, rest []span.Var) bool
-	rec = func(mu span.Extended, rest []span.Var) bool {
-		if len(rest) == 0 {
-			return yield(mu.Mapping())
-		}
-		x := rest[0]
-		for _, s := range spans {
-			next := mu.With(x, span.Assigned(s))
-			if e.Eval(d, next) {
-				if !rec(next, rest[1:]) {
-					return false
-				}
-			}
-		}
-		next := mu.With(x, span.Unassigned())
-		if e.Eval(d, next) {
-			if !rec(next, rest[1:]) {
-				return false
-			}
-		}
-		return true
+	spans, all := d.Spans(), make(map[span.Var][]span.Span, len(e.vars))
+	for _, x := range e.vars {
+		all[x] = spans
 	}
-	vars := append([]span.Var(nil), e.vars...)
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	rec(span.Extended{}, vars)
+	e.enumerateFilteredFrom(d, all, yield)
 }
 
 // All collects the complete output set ⟦A⟧_d. The result can be

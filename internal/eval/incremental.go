@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"spanners/internal/program"
@@ -217,16 +218,6 @@ func opExtent(m span.Mapping) (mn, mx int) {
 	return mn, mx
 }
 
-// bitsEq reports word-wise equality of two same-width bitsets.
-func bitsEq(a, b program.Bits) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // rStrictInto sets dst to the states from which firing at least one op
 // edge (followed by any further ops) reaches a state in src.
 func (s *IncState) rStrictInto(src, dst program.Bits) {
@@ -394,7 +385,7 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 	cf, cfIdx := -1, -1
 	for pos := fpos; ; pos++ {
 		if oi < len(s.snaps) && pos == s.snaps[oi].pos+delta {
-			if bitsEq(f0, s.snaps[oi].f0) && bitsEq(f1, s.snaps[oi].f1) {
+			if slices.Equal(f0, s.snaps[oi].f0) && slices.Equal(f1, s.snaps[oi].f1) {
 				cf, cfIdx = pos, oi
 				break
 			}
@@ -438,7 +429,7 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 	cb, cbIdx := 0, -1
 	for pos := bpos; ; pos-- {
 		if bj >= 0 && s.snaps[bj].pos == pos && pos <= prefixEnd {
-			if bitsEq(b0, s.snaps[bj].b0) && bitsEq(b1, s.snaps[bj].b1) {
+			if slices.Equal(b0, s.snaps[bj].b0) && slices.Equal(b1, s.snaps[bj].b1) {
 				cb, cbIdx = pos, bj
 				break
 			}
@@ -458,7 +449,7 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 
 	// Cut A: the largest converged snapshot at or below cb that no
 	// accepting run crosses. Fallback is boundary 1 (f1 there is empty,
-	// trivially crossing-free).
+	// trivially crossing-free) with the start state (a nil startSet).
 	A := 1
 	var startSet program.Bits
 	for j := cbIdx; j >= 0; j-- {
@@ -468,10 +459,6 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 			startSet = sn.f0
 			break
 		}
-	}
-	if startSet == nil {
-		startSet = program.NewBits(p.NumStates)
-		startSet.Set(p.Start)
 	}
 
 	// Cut B: the smallest crossing-free suffix snapshot at or past the
@@ -540,91 +527,30 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 // windowWalk re-runs the enumerator's boundary walk over [A, B) of the
 // new document, emitting exactly the mappings whose ops all lie in the
 // window. With B == 0 the window is open-ended (to the document end);
-// otherwise completion from B is letters-only through targetB0, the
-// cached b0 at the cut. The walk reproduces the enumerator's choice
-// ordering, so the output concatenates between the reused prefix and
-// suffix of the cached result list.
+// otherwise B is a cut whose completion is letters-only through
+// targetB0, the cached b0 there. The walk is the enumerator's own, so
+// its output concatenates between the reused prefix and suffix of the
+// cached result list.
 func (s *IncState) windowWalk(d *span.Document, A, B int, startSet, targetB0 program.Bits) []incMapping {
-	e := s.e
-	p := e.prog
-	n := d.Len()
-	bounded := B > 0
-	if bounded && A == B {
+	// Window-local co-reach: the states that can still complete the
+	// window (reach targetB0 at B firing ops only inside the window, or
+	// reach Final when the window is open-ended).
+	hi, last := B, targetB0
+	if B == 0 {
+		hi, last = d.Len()+1, nil
+	} else if A == B {
 		return nil
 	}
-	hi := B
-	if !bounded {
-		hi = n + 1
-	}
-
-	// Window-local co-reach: cw[pos-A] holds the states that can still
-	// complete the window (reach targetB0 at B firing ops only inside
-	// the window, or reach Final when the window is open-ended).
-	cw := make([]program.Bits, hi-A+1)
-	if bounded {
-		cw[hi-A] = targetB0
-	} else {
-		last := p.Final.Clone()
-		p.ROpClosure(last)
-		cw[hi-A] = last
-	}
-	for pos := hi - 1; pos >= A; pos-- {
-		prev := program.NewBits(p.NumStates)
-		if c := p.ClassOf(d.RuneAt(pos)); c >= 0 {
-			p.LetterStepBack(cw[pos+1-A], c, prev)
-		}
-		p.ROpClosure(prev)
-		cw[pos-A] = prev
-	}
-
 	var out []incMapping
-	var fired []progOpAt
-	emit := func() {
-		m := make(span.Mapping)
-		opens := make(map[uint8]int, 2)
-		for _, f := range fired {
-			if f.open {
-				opens[f.v] = f.pos
-			} else {
-				m[p.Vars[f.v]] = span.Span{Start: opens[f.v], End: f.pos}
-			}
+	w := s.e.newSeqWalk(d, A, hi, B > 0, s.e.coReachRaw(d, A, hi, last)[1:])
+	defer w.done()
+	w.visit(w.root(startSet), func(m span.Mapping) bool {
+		if len(m) > 0 { // the empty mapping is tracked by emptyOK
+			mn, mx := opExtent(m)
+			out = append(out, incMapping{m: m, minPos: mn, maxPos: mx})
 		}
-		mn, mx := opExtent(m)
-		out = append(out, incMapping{m: m, minPos: mn, maxPos: mx})
-	}
-
-	var dfs func(set program.Bits, pos int)
-	dfs = func(set program.Bits, pos int) {
-		if bounded && pos == B {
-			if len(fired) > 0 {
-				emit()
-			}
-			return
-		}
-		for _, ch := range e.boundaryEmissionsProg(set, cw[pos-A]) {
-			if !bounded && pos == n+1 {
-				if !ch.states.Intersects(p.Final) || len(fired)+len(ch.ops) == 0 {
-					continue
-				}
-				for _, t := range ch.ops {
-					fired = append(fired, progOpAt{v: t.v, open: t.open, pos: pos})
-				}
-				emit()
-				fired = fired[:len(fired)-len(ch.ops)]
-				continue
-			}
-			next := e.letterAdvanceProg(ch.states, d.RuneAt(pos), cw[pos+1-A])
-			if next == nil {
-				continue
-			}
-			for _, t := range ch.ops {
-				fired = append(fired, progOpAt{v: t.v, open: t.open, pos: pos})
-			}
-			dfs(next, pos+1)
-			fired = fired[:len(fired)-len(ch.ops)]
-		}
-	}
-	dfs(startSet, A)
+		return true
+	})
 	return out
 }
 
@@ -635,33 +561,41 @@ func (s *IncState) windowWalk(d *span.Document, A, B int, startSet, targetB0 pro
 // loops recorded fresh pairs in newF/newB. A snapshot is kept only
 // when both halves resolved; snapshots that fell inside the edit die.
 func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf, cb int, newF, newB map[int]fpair) []incSnap {
-	positions := make(map[int]struct{}, len(s.snaps)+len(newF)+len(newB))
-	byOldPos := make(map[int]int, len(s.snaps))
+	positions := make([]int, 0, len(s.snaps)+len(newF)+len(newB))
 	for i := range s.snaps {
 		pos := s.snaps[i].pos
-		byOldPos[pos] = i
 		if pos <= prefixEnd {
-			positions[pos] = struct{}{}
+			positions = append(positions, pos)
 		}
 		if pos >= editEndOld {
-			positions[pos+delta] = struct{}{}
+			positions = append(positions, pos+delta)
 		}
 	}
 	for pos := range newF {
-		positions[pos] = struct{}{}
+		positions = append(positions, pos)
 	}
 	for pos := range newB {
-		positions[pos] = struct{}{}
+		positions = append(positions, pos)
 	}
+	slices.Sort(positions)
 
+	// Positions ascend, so the old snapshots at pos and at pos-delta
+	// are found by two forward-only cursors.
+	var cur, curShift int
+	oldAt := func(c *int, pos int) (int, bool) {
+		for *c < len(s.snaps) && s.snaps[*c].pos < pos {
+			*c++
+		}
+		return *c, *c < len(s.snaps) && s.snaps[*c].pos == pos
+	}
 	out := make([]incSnap, 0, len(positions))
-	for pos := range positions {
+	for _, pos := range slices.Compact(positions) {
 		if pos < 2 || pos > n2+1 {
 			continue
 		}
 		sn := incSnap{pos: pos}
 		if pos <= prefixEnd {
-			if j, ok := byOldPos[pos]; ok {
+			if j, ok := oldAt(&cur, pos); ok {
 				sn.f0, sn.f1 = s.snaps[j].f0, s.snaps[j].f1
 			}
 		}
@@ -671,12 +605,12 @@ func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf
 			}
 		}
 		if sn.f0 == nil && cf >= 0 && pos >= cf {
-			if j, ok := byOldPos[pos-delta]; ok && s.snaps[j].pos >= editEndOld {
+			if j, ok := oldAt(&curShift, pos-delta); ok && s.snaps[j].pos >= editEndOld {
 				sn.f0, sn.f1 = s.snaps[j].f0, s.snaps[j].f1
 			}
 		}
 		if pos >= editEndNew {
-			if j, ok := byOldPos[pos-delta]; ok && s.snaps[j].pos >= editEndOld {
+			if j, ok := oldAt(&curShift, pos-delta); ok && s.snaps[j].pos >= editEndOld {
 				sn.b0, sn.b1 = s.snaps[j].b0, s.snaps[j].b1
 			}
 		}
@@ -686,27 +620,17 @@ func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf
 			}
 		}
 		if sn.b0 == nil && cb > 0 && pos <= cb {
-			if j, ok := byOldPos[pos]; ok {
+			if j, ok := oldAt(&cur, pos); ok {
 				sn.b0, sn.b1 = s.snaps[j].b0, s.snaps[j].b1
 			}
 		}
-		if sn.f0 != nil && sn.b0 != nil {
+		// Keep a resolved snapshot unless it sits within blockK/2 of the
+		// last one kept, thinning clusters left behind by repeated edits:
+		// snapshots are purely accelerative, so halving density only
+		// lengthens future resweeps, never changes results.
+		if sn.f0 != nil && sn.b0 != nil && (len(out) == 0 || pos-out[len(out)-1].pos >= s.blockK/2) {
 			out = append(out, sn)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
-
-	// Thin clusters left behind by repeated edits: snapshots are purely
-	// accelerative, so halving density only lengthens future resweeps,
-	// never changes results.
-	if minGap := s.blockK / 2; len(out) > 1 && minGap > 0 {
-		kept := out[:1]
-		for _, sn := range out[1:] {
-			if sn.pos-kept[len(kept)-1].pos >= minGap {
-				kept = append(kept, sn)
-			}
-		}
-		out = kept
 	}
 	return out
 }

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"unicode/utf8"
 )
 
 // Var is an extraction variable. Variables are disjoint from the
@@ -81,28 +83,60 @@ func (s Span) Concat(t Span) (Span, bool) {
 // Document is a string over Σ together with its rune decomposition.
 // Positions (and therefore spans) are measured in runes, so multi-byte
 // UTF-8 documents behave like the paper's abstract alphabet strings.
+// An ASCII document's runes are its bytes: it reads symbols straight
+// from the text and builds the rune slice only when Runes is called,
+// so the common case stores (and a splice copies) one byte per symbol
+// instead of five.
 type Document struct {
 	text  string
-	runes []rune
+	n     int  // number of symbols
+	ascii bool // every byte of text is ASCII; fixed at construction
+	once  sync.Once
+	runes []rune // set at construction unless ascii, else by Runes
 }
 
 // NewDocument builds a document from text.
 func NewDocument(text string) *Document {
-	return &Document{text: text, runes: []rune(text)}
+	if !isASCII(text) {
+		runes := []rune(text)
+		return &Document{text: text, n: len(runes), runes: runes}
+	}
+	return &Document{text: text, n: len(text), ascii: true}
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // Len returns |d|, the number of symbols in the document.
-func (d *Document) Len() int { return len(d.runes) }
+func (d *Document) Len() int { return d.n }
 
 // Text returns the underlying string.
 func (d *Document) Text() string { return d.text }
 
 // Runes returns the rune decomposition of the document. The returned
 // slice is shared and must not be modified.
-func (d *Document) Runes() []rune { return d.runes }
+func (d *Document) Runes() []rune {
+	d.once.Do(func() {
+		if d.ascii {
+			d.runes = []rune(d.text)
+		}
+	})
+	return d.runes
+}
 
 // RuneAt returns the symbol at 1-based position i (1 ≤ i ≤ |d|).
-func (d *Document) RuneAt(i int) rune { return d.runes[i-1] }
+func (d *Document) RuneAt(i int) rune {
+	if d.ascii {
+		return rune(d.text[i-1])
+	}
+	return d.runes[i-1]
+}
 
 // ASCIIText returns the document text when every symbol is ASCII —
 // the precondition for byte-indexed scanning (memchr-style candidate
@@ -110,7 +144,7 @@ func (d *Document) RuneAt(i int) rune { return d.runes[i-1] }
 // otherwise. The check is a length comparison: any multi-byte rune
 // makes the byte length exceed the rune count.
 func (d *Document) ASCIIText() string {
-	if len(d.text) == len(d.runes) {
+	if len(d.text) == d.n {
 		return d.text
 	}
 	return ""
@@ -122,21 +156,22 @@ func (d *Document) ASCIIText() string {
 // the caller rather than bad input (the service layer validates byte
 // offsets before they reach this level). When both the document and
 // the insertion are pure ASCII the text splices by substring
-// concatenation, so the dominant cost is two memcpys rather than a
+// concatenation, so the cost is one copy of the text rather than a
 // UTF-8 re-encode of the whole document.
 func (d *Document) Splice(off, del int, ins string) *Document {
-	if off < 0 || del < 0 || off+del > len(d.runes) {
-		panic(fmt.Sprintf("splice [%d,+%d) invalid for document of length %d", off, del, len(d.runes)))
+	if off < 0 || del < 0 || off+del > d.n {
+		panic(fmt.Sprintf("splice [%d,+%d) invalid for document of length %d", off, del, d.n))
 	}
-	insRunes := []rune(ins)
-	nr := make([]rune, 0, len(d.runes)+len(insRunes)-del)
-	nr = append(nr, d.runes[:off]...)
+	if d.ascii && isASCII(ins) {
+		text := d.text[:off] + ins + d.text[off+del:]
+		return &Document{text: text, n: len(text), ascii: true}
+	}
+	runes, insRunes := d.Runes(), []rune(ins)
+	nr := make([]rune, 0, len(runes)+len(insRunes)-del)
+	nr = append(nr, runes[:off]...)
 	nr = append(nr, insRunes...)
-	nr = append(nr, d.runes[off+del:]...)
-	if len(d.text) == len(d.runes) && len(ins) == len(insRunes) {
-		return &Document{text: d.text[:off] + ins + d.text[off+del:], runes: nr}
-	}
-	return &Document{text: string(nr), runes: nr}
+	nr = append(nr, runes[off+del:]...)
+	return NewDocument(string(nr))
 }
 
 // Whole returns the span (1, |d|+1) covering the entire document.
@@ -149,7 +184,7 @@ func (d *Document) Content(s Span) string {
 	if !s.Valid(d.Len()) {
 		panic(fmt.Sprintf("span %v invalid for document of length %d", s, d.Len()))
 	}
-	return string(d.runes[s.Start-1 : s.End-1])
+	return string(d.Runes()[s.Start-1 : s.End-1])
 }
 
 // Spans returns all spans of d in lexicographic (Start, End) order.

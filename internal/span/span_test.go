@@ -112,6 +112,61 @@ func TestUnicodeDocument(t *testing.T) {
 	}
 }
 
+// TestDocumentSplice checks every splice — ASCII and not, in both
+// directions across the ASCII boundary — against a document built from
+// scratch, symbol by symbol and through Runes, Content and ASCIIText.
+func TestDocumentSplice(t *testing.T) {
+	cases := []struct {
+		text     string
+		off, del int
+		ins      string
+	}{
+		{"hello world", 5, 0, ","},
+		{"hello world", 0, 5, "bye"},
+		{"hello", 5, 0, " → there"},
+		{"añ→b", 1, 2, ""},
+		{"añ→b", 4, 0, "c"},
+		{"añ→b", 0, 0, "ü"},
+		{"", 0, 0, ""},
+		{"", 0, 0, "x"},
+	}
+	same := func(got, want *Document) bool {
+		if got.Len() != want.Len() || got.Text() != want.Text() || got.ASCIIText() != want.ASCIIText() {
+			return false
+		}
+		for i := 1; i <= want.Len(); i++ {
+			if got.RuneAt(i) != want.RuneAt(i) {
+				return false
+			}
+		}
+		return string(got.Runes()) == string(want.Runes()) && got.Content(got.Whole()) == want.Text()
+	}
+	for _, c := range cases {
+		runes := []rune(c.text)
+		want := NewDocument(string(runes[:c.off]) + c.ins + string(runes[c.off+c.del:]))
+		got := NewDocument(c.text).Splice(c.off, c.del, c.ins)
+		if !same(got, want) {
+			t.Errorf("Splice(%q, %d, %d, %q) = %q (len %d), want %q (len %d)",
+				c.text, c.off, c.del, c.ins, got.Text(), got.Len(), want.Text(), want.Len())
+		}
+	}
+}
+
+// TestDocumentRunesConcurrent materializes an ASCII document's runes
+// from several goroutines at once; run with -race.
+func TestDocumentRunesConcurrent(t *testing.T) {
+	d := NewDocument("concurrent readers")
+	done := make(chan string)
+	for i := 0; i < 4; i++ {
+		go func() { done <- string(d.Runes()) + string(d.RuneAt(1)) }()
+	}
+	for i := 0; i < 4; i++ {
+		if got := <-done; got != "concurrent readersc" {
+			t.Errorf("reader saw %q", got)
+		}
+	}
+}
+
 func TestMappingCompatibleUnion(t *testing.T) {
 	m1 := Mapping{"x": {1, 4}}
 	m2 := Mapping{"y": {4, 7}}
